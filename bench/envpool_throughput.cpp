@@ -24,6 +24,7 @@
 
 #include "bench/BenchUtils.h"
 #include "core/Registry.h"
+#include "fault/FaultRegistry.h"
 #include "runtime/EnvPool.h"
 #include "util/Rng.h"
 #include "util/Timer.h"
@@ -82,14 +83,27 @@ struct PoolRun {
   uint64_t CacheHits = 0;
 };
 
-/// Aggregate steps/sec of an EnvPool collecting the same workload.
-PoolRun poolStepsPerSec(size_t Workers, int Episodes, uint64_t CrashAfterOps) {
+/// Aggregate steps/sec of an EnvPool collecting the same workload. A
+/// faulted run crashes the serving shard after 40 ops, and then about once
+/// per 41 ops for the rest of the run (seeded).
+PoolRun poolStepsPerSec(size_t Workers, int Episodes, bool Faulted) {
+  fault::FaultPlanSpec Plan;
+  if (Faulted) {
+    Plan.Rules.push_back({.Point = "service.handle",
+                          .Kind = fault::FaultKind::Crash,
+                          .AfterHits = 40,
+                          .MaxFires = 1});
+    Plan.Rules.push_back({.Point = "service.handle",
+                          .Kind = fault::FaultKind::Crash,
+                          .Probability = 1.0 / 41,
+                          .AfterHits = 40});
+  }
+  fault::ScopedFaults Faults(Plan);
   EnvPoolOptions Opts;
   Opts.EnvId = "llvm-v0";
   Opts.Make = workloadOptions();
   Opts.NumWorkers = Workers;
-  Opts.Broker.Faults.CrashAfterOps = CrashAfterOps;
-  Opts.Broker.MonitorIntervalMs = CrashAfterOps ? 5 : 0;
+  Opts.Broker.MonitorIntervalMs = Faulted ? 5 : 0;
   auto Pool = EnvPool::create(Opts);
   if (!Pool.isOk()) {
     std::fprintf(stderr, "pool setup failed: %s\n",
@@ -144,7 +158,7 @@ int main() {
   double SpeedupAt8 = 0.0;
   size_t EpisodesAt8 = 0;
   for (size_t Workers : WorkerCounts) {
-    PoolRun Run = poolStepsPerSec(Workers, Episodes, /*CrashAfterOps=*/0);
+    PoolRun Run = poolStepsPerSec(Workers, Episodes, /*Faulted=*/false);
     double Speedup = Run.StepsPerSec / Single;
     if (Workers == 2)
       SpeedupAt2 = Speedup;
@@ -160,7 +174,7 @@ int main() {
   }
 
   // Faulted fleet: every shard crashes repeatedly under load.
-  PoolRun Faulted = poolStepsPerSec(8, Episodes, /*CrashAfterOps=*/40);
+  PoolRun Faulted = poolStepsPerSec(8, Episodes, /*Faulted=*/true);
   std::printf("%-34s %10.1f steps/s  (x%.2f)  recoveries=%llu restarts=%llu\n",
               "pool 8 workers + crash faults", Faulted.StepsPerSec,
               Faulted.StepsPerSec / Single,

@@ -50,6 +50,11 @@ analysis::validateSemantics(const Module &Reference, const Module &Optimized,
                 (Ref.isOk() ? Opt.status() : Ref.status()).toString();
     return Out;
   }
+  if (Ref->FuelExhausted && Opt->Completed) {
+    Out.Undecided = true;
+    Out.Error = "undecided: reference exhausted interpreter fuel";
+    return Out;
+  }
   if (Ref->Completed != Opt->Completed) {
     Out.Error = std::string("completion divergence: reference ") +
                 (Ref->Completed ? "completed" : ("trapped: " +

@@ -54,6 +54,10 @@ StatusOr<double> measureRuntime(const ir::Module &M, Rng &Gen,
 /// Result of a semantics validation run (differential testing, §III-B4).
 struct ValidationResult {
   bool Ok = false;
+  /// Neither passed nor failed: the reference ran out of interpreter fuel
+  /// while the optimized program completed, so there is no reference
+  /// output to compare against. Ok is false.
+  bool Undecided = false;
   std::string Error; ///< Populated on mismatch/trap divergence.
 };
 

@@ -97,8 +97,11 @@ core::validateState(const EnvState &State, double RewardTolerance) {
         IOpts.Args = Bench->Inputs;
         analysis::ValidationResult Diff =
             analysis::validateSemantics(**Ref, **Opt, IOpts);
+        // An undecided comparison (the reference never finished) is
+        // reported as not checked rather than as a divergence.
+        Result.SemanticsChecked = !Diff.Undecided;
         Result.SemanticsValidated = Diff.Ok;
-        if (!Diff.Ok)
+        if (!Diff.Ok && !Diff.Undecided)
           Result.Error += "semantics: " + Diff.Error + "; ";
       } else {
         Result.Error += "semantics: could not parse IR for differential "

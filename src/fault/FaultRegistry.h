@@ -17,12 +17,12 @@
 /// points; the same seed always yields the same fault schedule, so a chaos
 /// soak that fails is replayable bit-for-bit.
 ///
-/// Draw stability (the PR 8 FlakyTransport guarantee, generalized): each
-/// rule owns an independent RNG stream seeded from (plan seed, rule index),
-/// and rules whose probability is degenerate (<= 0 or >= 1) consume no
-/// draws at all. Adding, disabling, or re-ordering unrelated rules can
-/// therefore never shift the fault schedule of the rules you kept —
-/// the property that makes seeded chaos plans composable.
+/// Draw stability: each rule owns an independent RNG stream seeded from
+/// (plan seed, rule index), and rules whose probability is degenerate
+/// (<= 0 or >= 1) consume no draws at all. Adding, disabling, or
+/// re-ordering unrelated rules can therefore never shift the fault
+/// schedule of the rules you kept — the property that makes seeded chaos
+/// plans composable.
 ///
 /// Known fault points (see docs/robustness.md for the catalogue):
 ///   service.handle        — before dispatch in CompilerService::handleLocked
@@ -30,7 +30,8 @@
 ///   passes.run            — before each pass in PassManager::run
 ///   snapshot.restore      — in LlvmSession::restore before the store lookup
 ///   gateway.backend_call  — around the gateway's shard round-trip
-///   transport.round_trip  — in fault::ChaosTransport around any Transport
+///   transport.round_trip  — in ServiceClient before each channel round-trip
+///   transport.reply       — in ServiceClient on each channel reply
 ///
 //===----------------------------------------------------------------------===//
 
@@ -156,6 +157,19 @@ inline FaultAction faultPoint(const char *Point,
     return {};
   return R.evaluate(Point, Cancel);
 }
+
+/// Installs a plan for the guard's lifetime and clears the registry on
+/// destruction, so a failing test cannot leak an armed plan into the next.
+/// An empty plan leaves every point disarmed.
+class ScopedFaults {
+public:
+  explicit ScopedFaults(const FaultPlanSpec &Plan = {}) {
+    FaultRegistry::global().install(Plan);
+  }
+  ~ScopedFaults() { FaultRegistry::global().clear(); }
+  ScopedFaults(const ScopedFaults &) = delete;
+  ScopedFaults &operator=(const ScopedFaults &) = delete;
+};
 
 /// Canonical spelling for marking a fault point in production code.
 #define CG_FAULT_POINT(PointName, CancelTok)                                   \

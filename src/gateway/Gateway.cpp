@@ -228,7 +228,6 @@ struct Gateway::Impl {
   static runtime::BrokerOptions brokerOptions(const GatewayOptions &O) {
     runtime::BrokerOptions B;
     B.NumShards = std::max<size_t>(1, O.NumShards);
-    B.Faults = O.ShardFaults;
     B.MonitorIntervalMs = O.MonitorIntervalMs;
     B.StallWindowMs = O.StallWindowMs;
     return B;

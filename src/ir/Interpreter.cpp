@@ -158,8 +158,10 @@ bool Machine::step() {
   ++Result.InstructionsExecuted;
   ++Result.OpcodeCounts[static_cast<int>(I.opcode())];
   Result.SimulatedCycles += opcodeCycleCost(I.opcode());
-  if (Result.InstructionsExecuted > Opts.MaxInstructions)
+  if (Result.InstructionsExecuted > Opts.MaxInstructions) {
+    Result.FuelExhausted = true;
     return trap("fuel exhausted");
+  }
 
   auto setReg = [&](RtValue V) {
     if (isIntegerType(I.type()))

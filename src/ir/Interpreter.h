@@ -42,6 +42,7 @@ struct InterpreterOptions {
 struct ExecutionResult {
   bool Completed = false;     ///< False on trap / fuel exhaustion.
   std::string TrapReason;     ///< Set when !Completed.
+  bool FuelExhausted = false; ///< Trapped because MaxInstructions ran out.
   int64_t ReturnInt = 0;      ///< Integer-typed return value (bits).
   double ReturnFloat = 0.0;   ///< f64-typed return value.
   uint64_t InstructionsExecuted = 0;

@@ -149,22 +149,30 @@ public:
       if (!PH)
         continue; // loop-simplify has not run: a real ordering dependency.
 
+      // The loop's blocks in function order: walking Loop.Blocks (a hash
+      // set of pointers) would hoist in heap-address order, so two replays
+      // of one action sequence could end in differently ordered IR.
+      std::vector<BasicBlock *> Body;
+      for (const auto &BB : F.blocks())
+        if (Loop.contains(BB.get()))
+          Body.push_back(BB.get());
+
       bool LoopHasMemEffects = false;
-      for (BasicBlock *BB : Loop.Blocks)
+      for (BasicBlock *BB : Body)
         for (const auto &I : BB->instructions())
           if (I->opcode() == Opcode::Store || I->opcode() == Opcode::Call)
             LoopHasMemEffects = true;
 
       // Values defined inside the loop.
       std::unordered_set<const Value *> InLoop;
-      for (BasicBlock *BB : Loop.Blocks)
+      for (BasicBlock *BB : Body)
         for (const auto &I : BB->instructions())
           InLoop.insert(I.get());
 
       bool LocalChange = true;
       while (LocalChange) {
         LocalChange = false;
-        for (BasicBlock *BB : Loop.Blocks) {
+        for (BasicBlock *BB : Body) {
           for (size_t I = 0; I < BB->size(); ++I) {
             Instruction *Inst = BB->instructions()[I].get();
             // Loads are only hoisted from effect-free loops and when the

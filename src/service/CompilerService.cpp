@@ -12,8 +12,6 @@
 #include "util/Logging.h"
 #include "util/Timer.h"
 
-#include <thread>
-
 using namespace compiler_gym;
 using namespace compiler_gym::service;
 
@@ -111,7 +109,7 @@ Counter &fullRepliesTotal() {
 
 } // namespace
 
-CompilerService::CompilerService(FaultPlan Plan) : Plan(Plan) {
+CompilerService::CompilerService() {
   // Pre-register (PR 6 convention): the zero-valued series shows up on the
   // first scrape, before any deadline is ever missed.
   (void)deadlineExceededServiceTotal();
@@ -187,9 +185,9 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
   ReplyEnvelope Reply;
   std::lock_guard<std::mutex> Lock(Mutex);
   // Retry of a request we already executed: replay the stored reply. This
-  // is checked before the fault-plan op accounting — a dedup hit performs
-  // no compiler work. DeadlineExceeded replies are cached like any other
-  // executed result: the retry of a logical call only ever has *less*
+  // is checked before the op accounting and the fault point — a dedup hit
+  // performs no compiler work. DeadlineExceeded replies are cached like any
+  // other executed result: the retry of a logical call only ever has *less*
   // budget, so replaying the stored rejection is always correct, and it
   // keeps a partially-applied batch from being applied twice.
   if (Req.RequestId) {
@@ -199,9 +197,7 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
       return Served->second;
     }
   }
-  uint64_t Op = OpsHandled.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Plan.HangOnOp && Op == Plan.HangOnOp)
-    std::this_thread::sleep_for(std::chrono::milliseconds(Plan.HangMs));
+  OpsHandled.fetch_add(1, std::memory_order_relaxed);
   if (fault::FaultAction F = CG_FAULT_POINT("service.handle", &Token)) {
     if (F.isCrash())
       Crashed.store(true, std::memory_order_relaxed);
@@ -214,8 +210,6 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
       return encodeReply(Reply);
     }
   }
-  if (Plan.CrashAfterOps && Op > Plan.CrashAfterOps)
-    Crashed.store(true, std::memory_order_relaxed);
   if (Crashed.load(std::memory_order_relaxed)) {
     Reply.Code = StatusCode::Aborted;
     Reply.ErrorMessage = "compiler service crashed";

@@ -7,10 +7,9 @@
 /// \file
 /// The common compiler-service runtime (§IV-B): hosts CompilationSession
 /// instances behind the message protocol, independent of any particular
-/// compiler. Includes the fault-injection hooks used to test the
-/// frontend's crash recovery (a FaultPlan can make the service "crash"
-/// after N operations or hang on a specific operation, standing in for
-/// real compiler segfaults and infinite loops).
+/// compiler. Its "service.handle" fault point lets a FaultRegistry plan
+/// crash the service or stall an operation, standing in for real compiler
+/// segfaults and infinite loops when testing the frontend's crash recovery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +28,6 @@
 
 namespace compiler_gym {
 namespace service {
-
-/// Fault-injection plan for robustness testing.
-struct FaultPlan {
-  uint64_t CrashAfterOps = 0; ///< >0: service dies after N operations.
-  uint64_t HangOnOp = 0;      ///< >0: operation N sleeps HangMs.
-  int HangMs = 200;
-};
 
 /// Interface to a cross-service observation cache. Implemented by
 /// runtime::ObservationCache; declared here so the service layer does not
@@ -57,7 +49,7 @@ public:
 /// Hosts sessions; decodes requests, dispatches, encodes replies.
 class CompilerService {
 public:
-  explicit CompilerService(FaultPlan Plan = {});
+  CompilerService();
 
   /// The transport handler: one serialized request in, one serialized
   /// reply out. Thread-compatible (called from the dispatcher thread).
@@ -101,7 +93,7 @@ public:
   uint64_t deltaRepliesSent() const;
 
 private:
-  /// The mutex-guarded request path (dedup window, fault plan, dispatch,
+  /// The mutex-guarded request path (dedup window, fault point, dispatch,
   /// reply encoding); handle() wraps it with trace binding, the request's
   /// cancel token, and telemetry.
   std::string handleLocked(const RequestEnvelope &Req,
@@ -109,7 +101,6 @@ private:
   ReplyEnvelope dispatch(const RequestEnvelope &Req,
                          const util::CancelToken &Token);
 
-  FaultPlan Plan;
   mutable std::mutex Mutex;
   /// Atomics below: read by broker monitor threads without taking Mutex
   /// (a watchdog that needed the Mutex would block behind the very wedge

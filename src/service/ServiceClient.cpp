@@ -6,6 +6,7 @@
 
 #include "service/ServiceClient.h"
 
+#include "fault/FaultRegistry.h"
 #include "telemetry/MetricsRegistry.h"
 #include "telemetry/Trace.h"
 #include "util/Logging.h"
@@ -105,6 +106,35 @@ Histogram &rpcLatencyUs(RequestKind Kind) {
     return Heartbeat;
   }
   return Heartbeat;
+}
+
+/// One channel round-trip between the "transport.round_trip" and
+/// "transport.reply" fault points, so every channel can be faulted without
+/// a wrapper. An Error is returned as the channel's own failure
+/// (Unavailable = connection reset, DeadlineExceeded = reply dropped), a
+/// Crash as a vanished peer (Unavailable), and a Delay is added latency
+/// (slept by the registry). A Corrupt at either point cuts the reply off
+/// mid-stream, as a partial write would: every reply field is required, so
+/// the cut reply never decodes and takes the garbled-reply retry path.
+StatusOr<std::string> faultedRoundTrip(Transport &Channel,
+                                       const std::string &Bytes,
+                                       int TimeoutMs) {
+  fault::FaultAction Req = CG_FAULT_POINT("transport.round_trip", nullptr);
+  if (Req.isError())
+    return Req.Error;
+  if (Req.isCrash())
+    return unavailable("injected transport disconnect");
+  StatusOr<std::string> Reply = Channel.roundTrip(Bytes, TimeoutMs);
+  if (!Reply.isOk())
+    return Reply;
+  fault::FaultAction Resp = CG_FAULT_POINT("transport.reply", nullptr);
+  if (Resp.isError())
+    return Resp.Error;
+  if (Resp.isCrash())
+    return unavailable("injected transport disconnect (reply)");
+  if (Req.isCorrupt() || Resp.isCorrupt())
+    Reply->resize(Reply->size() / 2);
+  return Reply;
 }
 
 } // namespace
@@ -222,8 +252,8 @@ StatusOr<ReplyEnvelope> ServiceClient::callAttempts(RequestEnvelope &Req) {
     rpcAttemptsTotal().inc();
     WireBytesSent += Bytes.size();
     wireBytes(true).inc(Bytes.size());
-    StatusOr<std::string> ReplyBytes = Channel->roundTrip(Bytes,
-                                                          AttemptTimeoutMs);
+    StatusOr<std::string> ReplyBytes =
+        faultedRoundTrip(*Channel, Bytes, AttemptTimeoutMs);
     if (ReplyBytes.isOk()) {
       WireBytesReceived += ReplyBytes->size();
       wireBytes(false).inc(ReplyBytes->size());

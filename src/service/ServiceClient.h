@@ -19,6 +19,7 @@
 
 #include "service/CompilerService.h"
 #include "service/Transport.h"
+#include "util/Rng.h"
 
 #include <memory>
 
@@ -51,11 +52,11 @@ struct ClientOptions {
 /// A connection to one compiler service.
 class ServiceClient {
 public:
-  /// Connects through an explicit transport (tests inject FlakyTransport;
-  /// remote clients pass a net::SocketTransport). \p Service may be null
-  /// for remote channels: there is no in-process backend to restart, so
-  /// restartService() becomes a no-op and recovery is the server fleet's
-  /// job (broker monitor / gateway).
+  /// Connects through an explicit transport (remote clients pass a
+  /// net::SocketTransport; tests pass scripted channels). \p Service may
+  /// be null for remote channels: there is no in-process backend to
+  /// restart, so restartService() becomes a no-op and recovery is the
+  /// server fleet's job (broker monitor / gateway).
   ServiceClient(std::shared_ptr<CompilerService> Service,
                 std::shared_ptr<Transport> Channel, ClientOptions Opts = {});
 

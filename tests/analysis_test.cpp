@@ -462,6 +462,7 @@ TEST(Rewards, ValidateSemanticsDetectsMiscompiles) {
   IOpts.Args = {5};
   ValidationResult V = validateSemantics(*Ref, *Bad, IOpts);
   EXPECT_FALSE(V.Ok);
+  EXPECT_FALSE(V.Undecided);
   EXPECT_NE(V.Error.find("divergence"), std::string::npos);
 }
 
@@ -483,7 +484,46 @@ entry:
   ASSERT_TRUE(Bad.isOk());
   ValidationResult V = validateSemantics(**Ref, **Bad);
   EXPECT_FALSE(V.Ok);
+  EXPECT_FALSE(V.Undecided);
   EXPECT_NE(V.Error.find("trapped"), std::string::npos);
+}
+
+TEST(Rewards, ValidateSemanticsIsUndecidedWhenTheReferenceRunsOutOfFuel) {
+  // The reference sums 1..1000 in a loop that outlasts the fuel limit; the
+  // optimized module returns the folded sum.
+  auto Ref = parseModule(R"(module "t"
+func @main() -> i64 {
+entry:
+  br label %body
+body:
+  %i = phi i64 [ 1, %entry ], [ %inext, %body ]
+  %acc = phi i64 [ 0, %entry ], [ %accnext, %body ]
+  %accnext = add i64 i64 %acc, i64 %i
+  %inext = add i64 i64 %i, i64 1
+  %c = icmp i1 le i64 %inext, i64 1000
+  condbr i1 %c, label %body, label %exit
+exit:
+  ret i64 %accnext
+}
+)");
+  auto Folded = parseModule(R"(module "t"
+func @main() -> i64 {
+entry:
+  ret i64 500500
+}
+)");
+  ASSERT_TRUE(Ref.isOk());
+  ASSERT_TRUE(Folded.isOk());
+  InterpreterOptions Starved;
+  Starved.MaxInstructions = 1000;
+  ValidationResult V = validateSemantics(**Ref, **Folded, Starved);
+  EXPECT_FALSE(V.Ok);
+  EXPECT_TRUE(V.Undecided);
+  EXPECT_EQ(V.Error.find("divergence"), std::string::npos);
+  // With enough fuel the same pair is decided, and equal.
+  ValidationResult Fed = validateSemantics(**Ref, **Folded);
+  EXPECT_TRUE(Fed.Ok) << Fed.Error;
+  EXPECT_FALSE(Fed.Undecided);
 }
 
 TEST(Lowering, AssemblyAndObjectEmission) {

@@ -14,7 +14,6 @@
 #include "core/Registry.h"
 #include "datasets/DatasetRegistry.h"
 #include "envs/llvm/LlvmSession.h"
-#include "fault/ChaosTransport.h"
 #include "fault/FaultRegistry.h"
 #include "gateway/Gateway.h"
 #include "net/SocketTransport.h"
@@ -36,12 +35,6 @@ using namespace compiler_gym::fault;
 namespace {
 
 constexpr const char *Crc32 = "benchmark://cbench-v1/crc32";
-
-/// Clears the global registry on scope exit so a failing test cannot leak
-/// an armed plan into its neighbors.
-struct RegistryReset {
-  ~RegistryReset() { FaultRegistry::global().clear(); }
-};
 
 datasets::Benchmark testBenchmark() {
   auto B = datasets::DatasetRegistry::instance().resolve(Crc32);
@@ -99,13 +92,6 @@ EpisodeResult runLocalEpisode() {
   return runEpisode(**Env);
 }
 
-/// Echoes the request bytes back as the reply (draw-stability probes).
-struct EchoTransport : service::Transport {
-  StatusOr<std::string> roundTrip(const std::string &Bytes, int) override {
-    return Bytes;
-  }
-};
-
 net::NetAddress uniqueListenAddress(const char *Tag) {
   static std::atomic<int> Counter{0};
   net::NetAddress Addr;
@@ -143,7 +129,7 @@ connectEnv(gateway::Gateway &Gw, const std::string &Token = "") {
 // -- Registry semantics -------------------------------------------------------
 
 TEST(FaultRegistryTest, HitWindowsAndFireCapsAreHonored) {
-  RegistryReset RR;
+  ScopedFaults Guard;
   FaultRegistry &Reg = FaultRegistry::global();
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "unit.w",
@@ -165,7 +151,7 @@ TEST(FaultRegistryTest, HitWindowsAndFireCapsAreHonored) {
 }
 
 TEST(FaultRegistryTest, ErrorRulesCarryTypedStatus) {
-  RegistryReset RR;
+  ScopedFaults Guard;
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "unit.e",
                         .Kind = FaultKind::Error,
@@ -182,7 +168,7 @@ TEST(FaultRegistryTest, ErrorRulesCarryTypedStatus) {
 // -- Draw stability (the PR 8 guarantee, generalized) -------------------------
 
 TEST(ChaosDrawStability, UnrelatedRuleTrafficDoesNotShiftSchedules) {
-  RegistryReset RR;
+  ScopedFaults Guard;
   FaultRegistry &Reg = FaultRegistry::global();
   FaultPlanSpec Plan;
   Plan.Seed = 777;
@@ -211,68 +197,48 @@ TEST(ChaosDrawStability, UnrelatedRuleTrafficDoesNotShiftSchedules) {
   EXPECT_EQ(Reg.fires("unit.off"), 0u);
 }
 
-TEST(ChaosDrawStability, FlakyTransportStreamIsUnaffectedByRegistryPlans) {
-  RegistryReset RR;
-  service::TransportFaults TF;
-  TF.DropProbability = 0.3;
-  TF.GarbageProbability = 0.2;
-  TF.Seed = 4242;
-  auto Pattern = [&TF] {
-    service::FlakyTransport T(std::make_shared<EchoTransport>(), TF);
-    std::vector<int> Out;
-    for (int I = 0; I < 100; ++I) {
-      auto R = T.roundTrip("abcdefgh", 100);
-      Out.push_back(!R.isOk() ? 0 : (*R == "abcdefgh" ? 1 : 2));
-    }
-    return Out;
-  };
-  std::vector<int> Clean = Pattern();
-  FaultPlanSpec Plan;
-  Plan.Rules.push_back({.Point = "unit.q", .Probability = 0.5});
-  FaultRegistry::global().install(Plan);
-  std::vector<int> Armed = Pattern();
-  EXPECT_EQ(Clean, Armed);
-}
+// -- Channel faults at the client ---------------------------------------------
 
-// -- ChaosTransport -----------------------------------------------------------
-
-TEST(ChaosTransportTest, InjectsTypedFaultsThenPassesThrough) {
-  RegistryReset RR;
+TEST(ClientTransportFaults, TypedErrorSurfacesThenNextCallPassesThrough) {
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "transport.round_trip",
                         .Kind = FaultKind::Error,
                         .MaxFires = 1,
                         .Code = StatusCode::Unavailable,
                         .Message = "injected reset"});
-  FaultRegistry::global().install(Plan);
-  ChaosTransport T(std::make_shared<EchoTransport>());
-  auto R1 = T.roundTrip("payload", 100);
-  ASSERT_FALSE(R1.isOk());
-  EXPECT_EQ(R1.status().code(), StatusCode::Unavailable);
-  auto R2 = T.roundTrip("payload", 100);
-  ASSERT_TRUE(R2.isOk());
-  EXPECT_EQ(*R2, "payload");
+  ScopedFaults Guard(Plan);
+  service::ClientOptions CO;
+  CO.MaxRetries = 0; // Surface the injected error instead of retrying it.
+  service::ServiceClient Client(std::make_shared<service::CompilerService>(),
+                                CO);
+  Status S1 = Client.heartbeat();
+  ASSERT_FALSE(S1.isOk());
+  EXPECT_EQ(S1.code(), StatusCode::Unavailable);
+  EXPECT_EQ(S1.message(), "injected reset");
+  EXPECT_TRUE(Client.heartbeat().isOk());
+  EXPECT_EQ(FaultRegistry::global().fires("transport.round_trip"), 1u);
 }
 
-TEST(ChaosTransportTest, CorruptRulesGarbleTheReplyBytes) {
-  RegistryReset RR;
+TEST(ClientTransportFaults, CorruptReplyIsRetriedAsGarbledNotReconnected) {
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "transport.reply",
                         .Kind = FaultKind::Corrupt,
                         .MaxFires = 1});
-  FaultRegistry::global().install(Plan);
-  ChaosTransport T(std::make_shared<EchoTransport>());
-  auto R = T.roundTrip("payload", 100);
-  ASSERT_TRUE(R.isOk());
-  EXPECT_NE(*R, "payload");
-  EXPECT_EQ(R->size(), std::string("payload").size());
+  ScopedFaults Guard(Plan);
+  service::ClientOptions CO;
+  CO.MaxRetries = 1;
+  service::ServiceClient Client(std::make_shared<service::CompilerService>(),
+                                CO);
+  EXPECT_TRUE(Client.heartbeat().isOk());
+  EXPECT_EQ(FaultRegistry::global().fires("transport.reply"), 1u);
+  EXPECT_EQ(Client.retryCount(), 1u);
+  EXPECT_EQ(Client.reconnectCount(), 0u);
 }
 
 // -- The soak -----------------------------------------------------------------
 
 TEST(ChaosSoak, SeededServicePlansAreByteEqualToFaultFreeReference) {
-  RegistryReset RR;
-  FaultRegistry::global().clear();
+  ScopedFaults Guard;
   EpisodeResult Ref = runLocalEpisode();
   ASSERT_FALSE(Ref.StateLine.empty());
   ASSERT_FALSE(Ref.IrHash.empty());
@@ -314,9 +280,8 @@ TEST(ChaosSoak, SeededServicePlansAreByteEqualToFaultFreeReference) {
   }
 }
 
-TEST(ChaosSoak, TransportFaultsAreTransparentOverChaosChannel) {
-  RegistryReset RR;
-  FaultRegistry::global().clear();
+TEST(ChaosSoak, ChannelFaultsAreTransparentToTheEpisode) {
+  ScopedFaults Guard;
   EpisodeResult Ref = runLocalEpisode();
   ASSERT_FALSE(Ref.StateLine.empty());
 
@@ -327,9 +292,8 @@ TEST(ChaosSoak, TransportFaultsAreTransparentOverChaosChannel) {
   auto Opts = core::resolveMakeOptions("llvm-v0", MO);
   ASSERT_TRUE(Opts.isOk());
   auto Service = std::make_shared<service::CompilerService>();
-  auto Chan = std::make_shared<ChaosTransport>(
-      std::make_shared<service::QueueTransport>(
-          [Service](const std::string &B) { return Service->handle(B); }));
+  auto Chan = std::make_shared<service::QueueTransport>(
+      [Service](const std::string &B) { return Service->handle(B); });
 
   FaultPlanSpec Plan;
   Plan.Seed = 99;
@@ -356,8 +320,7 @@ TEST(ChaosSoak, TransportFaultsAreTransparentOverChaosChannel) {
 }
 
 TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
-  RegistryReset RR;
-  FaultRegistry::global().clear();
+  ScopedFaults Guard;
   EpisodeResult Ref = runLocalEpisode();
   ASSERT_FALSE(Ref.StateLine.empty());
 
@@ -384,6 +347,18 @@ TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
                         .Kind = FaultKind::Error,
                         .Probability = 0.10,
                         .MaxFires = 3});
+  // The tenants' own socket links: resets before the request leaves, and
+  // replies garbled on the way back. Appended after the rules above, whose
+  // per-rule RNG streams are therefore unchanged.
+  Plan.Rules.push_back({.Point = "transport.round_trip",
+                        .Kind = FaultKind::Error,
+                        .Probability = 0.10,
+                        .MaxFires = 3,
+                        .Code = StatusCode::Unavailable});
+  Plan.Rules.push_back({.Point = "transport.reply",
+                        .Kind = FaultKind::Corrupt,
+                        .Probability = 0.10,
+                        .MaxFires = 3});
   FaultRegistry::global().install(Plan);
   // Interleave the two tenants' episodes so faults land across both
   // sessions' traffic, not one tenant's warm-up.
@@ -403,8 +378,11 @@ TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
   OutA = {(*Alice)->state().serialize(), HA->raw().Str};
   OutB = {(*Bob)->state().serialize(), HB->raw().Str};
   uint64_t Fires = FaultRegistry::global().totalFires();
+  uint64_t LinkFires = FaultRegistry::global().fires("transport.round_trip") +
+                       FaultRegistry::global().fires("transport.reply");
   FaultRegistry::global().clear();
   EXPECT_GT(Fires, 0u);
+  EXPECT_GT(LinkFires, 0u) << "no tenant link fault fired";
   EXPECT_EQ(OutA.StateLine, Ref.StateLine);
   EXPECT_EQ(OutA.IrHash, Ref.IrHash);
   EXPECT_EQ(OutB.StateLine, Ref.StateLine);
@@ -414,7 +392,7 @@ TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
 // -- Deadline propagation -----------------------------------------------------
 
 TEST(ChaosDeadline, CancelAwareDelayRespectsBudgetAndRollsBack) {
-  RegistryReset RR;
+  ScopedFaults Guard;
   envs::registerLlvmEnvironment();
   auto Service = std::make_shared<service::CompilerService>();
   service::ClientOptions CO;
@@ -455,7 +433,7 @@ TEST(ChaosDeadline, CancelAwareDelayRespectsBudgetAndRollsBack) {
 }
 
 TEST(ChaosDeadline, ExpiredQueuedGatewayOpsAreShedTyped) {
-  RegistryReset RR;
+  ScopedFaults Guard;
   gateway::GatewayOptions GO;
   GO.NumShards = 1;
   auto Gw = serveGateway(std::move(GO), "shed");
@@ -499,7 +477,7 @@ TEST(ChaosDeadline, ExpiredQueuedGatewayOpsAreShedTyped) {
 // -- Hung-shard watchdog ------------------------------------------------------
 
 TEST(ChaosWatchdog, WedgedShardIsForceRestartedAndResumesFromSnapshot) {
-  RegistryReset RR;
+  ScopedFaults Guard;
   gateway::GatewayOptions GO;
   GO.NumShards = 1;
   GO.MonitorIntervalMs = 10;

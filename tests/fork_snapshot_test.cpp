@@ -13,6 +13,7 @@
 // CI jobs.
 
 #include "core/Registry.h"
+#include "fault/FaultRegistry.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Snapshot.h"
@@ -201,7 +202,8 @@ TEST(EnvFork, ForkMutationNeverLeaksToParentOrSiblings) {
 // -- Replay-free crash recovery ------------------------------------------------
 
 TEST(Recovery, CrashRecoveryRestoresSnapshotWithZeroReplayedActions) {
-  // Fault-free reference for the final state.
+  // Fault-free reference for the final state. It runs before the plan is
+  // installed: the fault registry is process-wide.
   auto Ref = makeLlvm();
   ASSERT_TRUE(Ref->reset().isOk());
   for (int Step = 0; Step < 10; ++Step)
@@ -211,7 +213,12 @@ TEST(Recovery, CrashRecoveryRestoresSnapshotWithZeroReplayedActions) {
   Crashy.Benchmark = "benchmark://cbench-v1/crc32";
   Crashy.ObservationSpace = "none";
   Crashy.RewardSpace = "IrInstructionCount";
-  Crashy.Faults.CrashAfterOps = 7;
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .AfterHits = 7,
+                        .MaxFires = 1});
+  fault::ScopedFaults Faults(Plan);
   auto Env = core::make("llvm-v0", Crashy);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());

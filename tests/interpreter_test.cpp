@@ -217,6 +217,7 @@ spin:
   auto R = interpret(**M, Opts);
   ASSERT_TRUE(R.isOk());
   EXPECT_FALSE(R->Completed);
+  EXPECT_TRUE(R->FuelExhausted);
   EXPECT_NE(R->TrapReason.find("fuel"), std::string::npos);
   EXPECT_LE(R->InstructionsExecuted, 1002u);
 }

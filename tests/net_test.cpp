@@ -11,6 +11,7 @@
 
 #include "datasets/DatasetRegistry.h"
 #include "envs/llvm/LlvmSession.h"
+#include "fault/FaultRegistry.h"
 #include "net/Frame.h"
 #include "net/NetServer.h"
 #include "net/Socket.h"
@@ -442,17 +443,18 @@ private:
 } // namespace
 
 TEST(ClientRetry, DisconnectFaultsAreRetriedAndCounted) {
+  fault::FaultPlanSpec Plan;
+  // Every call: connection reset.
+  Plan.Rules.push_back({.Point = "transport.round_trip",
+                        .Kind = fault::FaultKind::Error,
+                        .Code = StatusCode::Unavailable});
+  fault::ScopedFaults Faults(Plan);
   auto Service = std::make_shared<CompilerService>();
-  auto Base = std::make_shared<QueueTransport>(
-      [Service](const std::string &B) { return Service->handle(B); });
-  TransportFaults Faults;
-  Faults.DisconnectProbability = 1.0; // Every call: connection reset.
-  auto Flaky = std::make_shared<FlakyTransport>(Base, Faults);
   ClientOptions Opts;
   Opts.MaxRetries = 3;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 4;
-  ServiceClient Client(Service, Flaky, Opts);
+  ServiceClient Client(Service, Opts);
   Status S = Client.heartbeat();
   ASSERT_FALSE(S.isOk());
   EXPECT_EQ(S.code(), StatusCode::Unavailable);
@@ -462,18 +464,18 @@ TEST(ClientRetry, DisconnectFaultsAreRetriedAndCounted) {
 }
 
 TEST(ClientRetry, PartialWriteFaultIsRetriedAsGarbled) {
+  fault::FaultPlanSpec Plan;
+  Plan.Seed = 0x7E57;
+  Plan.Rules.push_back({.Point = "transport.reply",
+                        .Kind = fault::FaultKind::Corrupt,
+                        .Probability = 0.5});
+  fault::ScopedFaults Faults(Plan);
   auto Service = std::make_shared<CompilerService>();
-  auto Base = std::make_shared<QueueTransport>(
-      [Service](const std::string &B) { return Service->handle(B); });
-  TransportFaults Faults;
-  Faults.PartialWriteProbability = 0.5;
-  Faults.Seed = 0x7E57;
-  auto Flaky = std::make_shared<FlakyTransport>(Base, Faults);
   ClientOptions Opts;
   Opts.MaxRetries = 8;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 2;
-  ServiceClient Client(Service, Flaky, Opts);
+  ServiceClient Client(Service, Opts);
   // With p=0.5 and 9 attempts per call, 20 heartbeats all succeed with
   // overwhelming probability — and some retries must have happened.
   for (int I = 0; I < 20; ++I)

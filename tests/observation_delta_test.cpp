@@ -9,6 +9,7 @@
 // including equality with full recomputation, fork, and crash recovery.
 
 #include "core/Registry.h"
+#include "fault/FaultRegistry.h"
 #include "runtime/ObservationCache.h"
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
@@ -303,20 +304,30 @@ TEST(ObservationDeltaE2E, DuplicateSpaceNamesInOneRequest) {
 }
 
 TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
-  core::MakeOptions Opts = plainLlvm("benchmark://cbench-v1/crc32");
-  Opts.Faults.CrashAfterOps = 6;
-  auto Env = core::make("llvm-v0", Opts);
-  ASSERT_TRUE(Env.isOk());
-  ASSERT_TRUE((*Env)->reset().isOk());
   const std::vector<std::string> Spaces = {"Inst2vec", "Autophase"};
-  ASSERT_TRUE((*Env)->rawObservations(Spaces).isOk());
-  // Drive past the crash point; recovery replays and the content-addressed
-  // bases stay coherent.
-  for (int I = 0; I < 4; ++I)
-    ASSERT_TRUE((*Env)->step({0}).isOk());
-  EXPECT_GT((*Env)->serviceRecoveries(), 0u);
-  auto Obs = (*Env)->rawObservations(Spaces);
-  ASSERT_TRUE(Obs.isOk());
+  std::vector<Observation> Obs;
+  {
+    // The sixth op is the last before the service crashes. The plan is
+    // cleared before the fault-free reference below runs.
+    fault::FaultPlanSpec Plan;
+    Plan.Rules.push_back({.Point = "service.handle",
+                          .Kind = fault::FaultKind::Crash,
+                          .AfterHits = 6,
+                          .MaxFires = 1});
+    fault::ScopedFaults Faults(Plan);
+    auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
+    ASSERT_TRUE(Env.isOk());
+    ASSERT_TRUE((*Env)->reset().isOk());
+    ASSERT_TRUE((*Env)->rawObservations(Spaces).isOk());
+    // Drive past the crash point; recovery replays and the
+    // content-addressed bases stay coherent.
+    for (int I = 0; I < 4; ++I)
+      ASSERT_TRUE((*Env)->step({0}).isOk());
+    EXPECT_GT((*Env)->serviceRecoveries(), 0u);
+    auto Got = (*Env)->rawObservations(Spaces);
+    ASSERT_TRUE(Got.isOk());
+    Obs = std::move(*Got);
+  }
 
   core::MakeOptions Plain = plainLlvm("benchmark://cbench-v1/crc32");
   auto Fresh = core::make("llvm-v0", Plain);
@@ -327,8 +338,8 @@ TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
   auto Reference = (*Fresh)->rawObservations(Spaces);
   ASSERT_TRUE(Reference.isOk());
   for (size_t I = 0; I < Spaces.size(); ++I) {
-    EXPECT_EQ((*Obs)[I].Ints, (*Reference)[I].Ints) << Spaces[I];
-    EXPECT_EQ((*Obs)[I].Doubles, (*Reference)[I].Doubles) << Spaces[I];
+    EXPECT_EQ(Obs[I].Ints, (*Reference)[I].Ints) << Spaces[I];
+    EXPECT_EQ(Obs[I].Doubles, (*Reference)[I].Doubles) << Spaces[I];
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/Registry.h"
 #include "envs/llvm/LlvmSession.h"
+#include "fault/FaultRegistry.h"
 #include "rl/Rollout.h"
 
 #include <gtest/gtest.h>
@@ -23,8 +24,29 @@
 
 using namespace compiler_gym;
 using namespace compiler_gym::runtime;
+using fault::FaultKind;
+using fault::FaultPlanSpec;
+using fault::ScopedFaults;
 
 namespace {
+
+/// The service crashes after \p Ops operations, as a shard that has run
+/// that long, and then, like a shard that crashes again after each
+/// restart, about once per \p Ops + 1 operations, at most \p Repeats more
+/// times (seeded, so the schedule replays).
+FaultPlanSpec recurringCrashPlan(uint64_t Ops, uint64_t Repeats) {
+  FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = FaultKind::Crash,
+                        .AfterHits = Ops,
+                        .MaxFires = 1});
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = FaultKind::Crash,
+                        .Probability = 1.0 / static_cast<double>(Ops + 1),
+                        .AfterHits = Ops,
+                        .MaxFires = Repeats});
+  return Plan;
+}
 
 // -- ObservationCache ----------------------------------------------------------
 
@@ -129,7 +151,12 @@ TEST(ServiceBroker, SweepRestartsCrashedShards) {
   BrokerOptions Opts;
   Opts.NumShards = 2;
   Opts.MonitorIntervalMs = 0; // Manual sweeps.
-  Opts.Faults.CrashAfterOps = 2;
+  FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = FaultKind::Crash,
+                        .AfterHits = 2,
+                        .MaxFires = 1});
+  ScopedFaults Faults(Plan);
   ServiceBroker Broker(Opts);
   auto Client = Broker.makeClient(0);
   EXPECT_TRUE(Client->heartbeat().isOk());
@@ -150,7 +177,12 @@ TEST(ServiceBroker, MonitorThreadRestartsCrashedShardUnprompted) {
   BrokerOptions Opts;
   Opts.NumShards = 1;
   Opts.MonitorIntervalMs = 5;
-  Opts.Faults.CrashAfterOps = 1;
+  FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = FaultKind::Crash,
+                        .AfterHits = 1,
+                        .MaxFires = 1});
+  ScopedFaults Faults(Plan);
   ServiceBroker Broker(Opts);
   auto Client = Broker.makeClient(0);
   EXPECT_TRUE(Client->heartbeat().isOk());
@@ -178,7 +210,6 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
   BrokerOptions BO;
   BO.NumShards = 1;
   BO.MonitorIntervalMs = 0; // Recovery driven purely by the envs.
-  BO.Faults.CrashAfterOps = 5;
   ServiceBroker Broker(BO);
   auto A = core::CompilerEnv::attach(*EnvOpts, Broker.shardService(0),
                                      Broker.shardTransport(0));
@@ -186,15 +217,19 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
                                      Broker.shardTransport(0));
   ASSERT_TRUE(A.isOk());
   ASSERT_TRUE(B.isOk());
-  ASSERT_TRUE((*A)->reset().isOk());
-  ASSERT_TRUE((*B)->reset().isOk());
-  for (int Step = 0; Step < 8; ++Step) {
-    auto RA = (*A)->step(Step % 5);
-    ASSERT_TRUE(RA.isOk()) << "A step " << Step << ": "
-                           << RA.status().toString();
-    auto RB = (*B)->step((Step + 2) % 5);
-    ASSERT_TRUE(RB.isOk()) << "B step " << Step << ": "
-                           << RB.status().toString();
+  {
+    // Armed only for the episodes: the references below run fault-free.
+    ScopedFaults Faults(recurringCrashPlan(5, 3));
+    ASSERT_TRUE((*A)->reset().isOk());
+    ASSERT_TRUE((*B)->reset().isOk());
+    for (int Step = 0; Step < 8; ++Step) {
+      auto RA = (*A)->step(Step % 5);
+      ASSERT_TRUE(RA.isOk()) << "A step " << Step << ": "
+                             << RA.status().toString();
+      auto RB = (*B)->step((Step + 2) % 5);
+      ASSERT_TRUE(RB.isOk()) << "B step " << Step << ": "
+                             << RB.status().toString();
+    }
   }
   EXPECT_GE((*A)->serviceRecoveries() + (*B)->serviceRecoveries(), 1u);
 
@@ -325,7 +360,7 @@ TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
   Opts.NumWorkers = 4;
   Opts.Broker.NumShards = 2; // Two envs share each crashing shard.
   Opts.Broker.MonitorIntervalMs = 5;
-  Opts.Broker.Faults.CrashAfterOps = 9;
+  ScopedFaults Faults(recurringCrashPlan(9, 6));
   auto Pool = EnvPool::create(Opts);
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 using namespace compiler_gym;
@@ -54,6 +55,63 @@ TEST(Validation, TamperedRewardIsRejected) {
   ASSERT_TRUE(Result.isOk());
   EXPECT_FALSE(Result->RewardValidated);
   EXPECT_FALSE(Result->ok());
+}
+
+/// A fresh llvm-v0 session on \p Benchmark after the named actions.
+std::unique_ptr<CompilerEnv>
+replayNamed(const std::string &Benchmark,
+            const std::vector<std::string> &ActionNames) {
+  MakeOptions Opts;
+  Opts.Benchmark = Benchmark;
+  Opts.ObservationSpace = "none";
+  Opts.RewardSpace = "none";
+  auto Env = make("llvm-v0", Opts);
+  EXPECT_TRUE(Env.isOk()) << Env.status().toString();
+  if (!Env.isOk())
+    return nullptr;
+  EXPECT_TRUE((*Env)->reset().isOk());
+  const std::vector<std::string> &Names = (*Env)->actionSpace().ActionNames;
+  for (const std::string &Name : ActionNames) {
+    auto It = std::find(Names.begin(), Names.end(), Name);
+    EXPECT_NE(It, Names.end()) << "no action " << Name;
+    if (It == Names.end())
+      return nullptr;
+    auto R = (*Env)->step(static_cast<int>(It - Names.begin()));
+    EXPECT_TRUE(R.isOk()) << Name << ": " << R.status().toString();
+  }
+  return Env.takeValue();
+}
+
+std::string irHash(CompilerEnv &Env) {
+  auto Hash = Env.observation()["IrHash"];
+  EXPECT_TRUE(Hash.isOk()) << Hash.status().toString();
+  return Hash.isOk() ? Hash->raw().Str : "";
+}
+
+TEST(Determinism, LicmReplaysInFreshSessionsEndInEqualIr) {
+  // licm and licm-promote hoist out of multi-block loops; the hoisted
+  // instructions must reach the preheader in the same order on every
+  // replay, whatever the heap addresses of the loop's blocks.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> Cases =
+      {{"benchmark://poj104-v1/32973",
+        {"reassociate", "inline<75>", "licm-promote"}},
+       {"benchmark://cbench-v1/qsort", {"mem2reg", "loop-simplify", "licm"}},
+       {"benchmark://cbench-v1/sha",
+        {"mem2reg", "loop-simplify", "licm-promote", "licm"}},
+       {"benchmark://cbench-v1/crc32",
+        {"loop-simplify", "reassociate", "licm", "licm-promote"}}};
+  for (const auto &[Benchmark, Actions] : Cases) {
+    // All replays stay alive, so their blocks live at different addresses.
+    std::vector<std::unique_ptr<CompilerEnv>> Replays;
+    for (int I = 0; I < 4; ++I) {
+      Replays.push_back(replayNamed(Benchmark, Actions));
+      ASSERT_TRUE(Replays.back()) << Benchmark;
+    }
+    std::string Hash = irHash(*Replays.front());
+    ASSERT_FALSE(Hash.empty()) << Benchmark;
+    for (size_t I = 1; I < Replays.size(); ++I)
+      EXPECT_EQ(Hash, irHash(*Replays[I])) << Benchmark << " replay " << I;
+  }
 }
 
 TEST(Validation, EmptyEpisodeValidates) {
