@@ -29,6 +29,7 @@
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
 #include "passes/PassManager.h"
+#include "tests/CounterDelta.h"
 #include "util/Timer.h"
 
 #include <cstdio>
@@ -188,6 +189,7 @@ int main() {
       }
     }
     auto Stateful = Base->clone();
+    CounterDelta D;
     passes::PassManager PM(*Stateful);
     PM.setVerifyPreservation(false);
     for (int R = 0; R < Repeats; ++R) {
@@ -200,11 +202,13 @@ int main() {
     std::printf("\n-- step cost at fixpoint (analysis-heavy sequence) --\n");
     latencyRow("one-shot runPass", OneShotStep);
     latencyRow("stateful PassManager", StatefulStep);
+    auto DomTree = [&D](const char *Outcome) {
+      return static_cast<unsigned long long>(
+          D("cg_analysis_lookups_total",
+            {{"kind", "domtree"}, {"outcome", Outcome}}));
+    };
     std::printf("analysis cache: domtree hits=%llu computes=%llu\n",
-                static_cast<unsigned long long>(
-                    PM.analysisManager().stats().DomTreeHits),
-                static_cast<unsigned long long>(
-                    PM.analysisManager().stats().DomTreeComputes));
+                DomTree("hit"), DomTree("compute"));
   }
 
   auto meanOf = [](std::map<std::string, std::vector<double>> &T,

@@ -26,6 +26,7 @@
 #include "core/Registry.h"
 #include "fault/FaultRegistry.h"
 #include "runtime/EnvPool.h"
+#include "tests/CounterDelta.h"
 #include "util/Rng.h"
 #include "util/Timer.h"
 
@@ -104,6 +105,7 @@ PoolRun poolStepsPerSec(size_t Workers, int Episodes, bool Faulted) {
   Opts.Make = workloadOptions();
   Opts.NumWorkers = Workers;
   Opts.Broker.MonitorIntervalMs = Faulted ? 5 : 0;
+  CounterDelta D;
   auto Pool = EnvPool::create(Opts);
   if (!Pool.isOk()) {
     std::fprintf(stderr, "pool setup failed: %s\n",
@@ -130,13 +132,12 @@ PoolRun poolStepsPerSec(size_t Workers, int Episodes, bool Faulted) {
     std::fprintf(stderr, "pool run failed: %s\n", S.toString().c_str());
     std::exit(1);
   }
-  PoolStats Stats = (*Pool)->stats();
   PoolRun Out;
-  Out.StepsPerSec = static_cast<double>(Stats.StepsExecuted) / Seconds;
-  Out.EpisodesCompleted = Stats.EpisodesCompleted;
-  Out.Recoveries = Stats.EnvRecoveries;
-  Out.ShardRestarts = Stats.ShardRestarts;
-  Out.CacheHits = Stats.CacheHits;
+  Out.StepsPerSec = static_cast<double>(D("cg_pool_steps_total")) / Seconds;
+  Out.EpisodesCompleted = D("cg_pool_episodes_total");
+  Out.Recoveries = D("cg_env_recoveries_total");
+  Out.ShardRestarts = D("cg_broker_shard_restarts_total");
+  Out.CacheHits = D("cg_obs_cache_events_total", {{"event", "hit"}});
   return Out;
 }
 

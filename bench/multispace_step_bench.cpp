@@ -18,6 +18,7 @@
 #include "bench/BenchUtils.h"
 
 #include "core/Registry.h"
+#include "tests/CounterDelta.h"
 #include "util/Timer.h"
 
 #include <cstdio>
@@ -57,15 +58,15 @@ int main() {
       // isolates the RPC-count difference rather than pass cost.
       int Action = 3;
       {
-        uint64_t Before = (*EnvA)->client().rpcCount();
+        CounterDelta D;
         Stopwatch W;
         if (!(*EnvA)->step({Action}, Spaces, Rewards).isOk())
           return 1;
         Bundled.push_back(W.elapsedMs());
-        BundledRpcs += (*EnvA)->client().rpcCount() - Before;
+        BundledRpcs += D("cg_client_rpcs_total");
       }
       {
-        uint64_t Before = (*EnvB)->client().rpcCount();
+        CounterDelta D;
         Stopwatch W;
         if (!(*EnvB)->step(Action).isOk())
           return 1;
@@ -75,7 +76,7 @@ int main() {
         if (!(*EnvB)->rawObservations({Rewards.front()}).isOk())
           return 1;
         Sequential.push_back(W.elapsedMs());
-        SequentialRpcs += (*EnvB)->client().rpcCount() - Before;
+        SequentialRpcs += D("cg_client_rpcs_total");
       }
     }
   }

@@ -20,6 +20,7 @@
 #include "core/CompilerEnv.h"
 #include "core/Registry.h"
 #include "net/SocketTransport.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Rng.h"
 
 #include <cstdio>
@@ -89,9 +90,14 @@ int main(int argc, char **argv) {
                 (*Env)->actionSpace().ActionNames[Action].c_str(),
                 Result->Reward, Cumulative);
   }
+  // Every count lives in the process-wide metrics registry; this process
+  // ran one env, so the totals are this episode's.
+  auto Count = [](const char *Series) {
+    return static_cast<unsigned long long>(
+        telemetry::MetricsRegistry::global().counter(Series).value());
+  };
   std::printf("episode reward: %+.4f (%llu RPC retries, %llu recoveries)\n",
-              (*Env)->episodeReward(),
-              static_cast<unsigned long long>((*Env)->client().retryCount()),
-              static_cast<unsigned long long>((*Env)->serviceRecoveries()));
+              (*Env)->episodeReward(), Count("cg_client_retries_total"),
+              Count("cg_env_recoveries_total"));
   return 0;
 }

@@ -37,7 +37,7 @@ telemetry::Counter &replayedActionsTotal() {
   return C;
 }
 
-telemetry::Counter &deltaRepliesReceivedTotal() {
+telemetry::Counter &deltaRepliesTotal() {
   static telemetry::Counter &C = telemetry::MetricsRegistry::global().counter(
       "cg_env_delta_replies_total", {},
       "Observation replies received as deltas and reconstructed");
@@ -78,16 +78,8 @@ StatusOr<std::unique_ptr<CompilerEnv>>
 CompilerEnv::create(const CompilerEnvOptions &Opts) {
   auto Service = std::make_shared<CompilerService>();
   auto Client = std::make_shared<ServiceClient>(Service, Opts.Client);
-  std::unique_ptr<CompilerEnv> Env(
-      new CompilerEnv(Opts, std::move(Service), std::move(Client)));
-  Env->Registry.setBuiltinRewards(rewardSpecsFor(Opts.CompilerName));
-  if (!Opts.RewardSpace.empty() && !Env->Registry.reward(Opts.RewardSpace))
-    return notFound("no reward space '" + Opts.RewardSpace +
-                    "' for compiler '" + Opts.CompilerName + "'");
-  Env->State.EnvId = Opts.EnvId;
-  Env->State.RewardSpace = Opts.RewardSpace;
-  Env->State.ObservationSpace = Opts.ObservationSpace;
-  return Env;
+  return build(Opts, std::move(Service), std::move(Client),
+               /*SharedService=*/false);
 }
 
 StatusOr<std::unique_ptr<CompilerEnv>>
@@ -96,9 +88,17 @@ CompilerEnv::attach(const CompilerEnvOptions &Opts,
                     std::shared_ptr<Transport> Channel) {
   auto Client = std::make_shared<ServiceClient>(Service, std::move(Channel),
                                                 Opts.Client);
+  return build(Opts, std::move(Service), std::move(Client),
+               /*SharedService=*/true);
+}
+
+StatusOr<std::unique_ptr<CompilerEnv>>
+CompilerEnv::build(const CompilerEnvOptions &Opts,
+                   std::shared_ptr<CompilerService> Service,
+                   std::shared_ptr<ServiceClient> Client, bool SharedService) {
   std::unique_ptr<CompilerEnv> Env(
       new CompilerEnv(Opts, std::move(Service), std::move(Client)));
-  Env->SharedService = true;
+  Env->SharedService = SharedService;
   Env->Registry.setBuiltinRewards(rewardSpecsFor(Opts.CompilerName));
   if (!Opts.RewardSpace.empty() && !Env->Registry.reward(Opts.RewardSpace))
     return notFound("no reward space '" + Opts.RewardSpace +
@@ -221,9 +221,21 @@ CompilerEnv::planStep(const std::vector<std::string> &ObsSpaces,
   return Plan;
 }
 
+std::vector<Action> CompilerEnv::replayActions() const {
+  if (!DirectHistory.empty())
+    return DirectHistory;
+  std::vector<Action> Replay;
+  Replay.reserve(State.Actions.size());
+  for (int A : State.Actions) {
+    Action Act;
+    Act.Index = A;
+    Replay.push_back(Act);
+  }
+  return Replay;
+}
+
 Status CompilerEnv::recover() {
   CG_TRACE_SPAN("env.recover", "core");
-  Recoveries.fetch_add(1, std::memory_order_relaxed);
   recoveriesTotal().inc();
   CG_LOG_INFO_FOR("env", SessionId)
       << "backend failure detected; restarting service (snapshot key "
@@ -231,17 +243,7 @@ Status CompilerEnv::recover() {
       << " actions in replay fallback)";
   SessionLive = false;
   // Replay the whole episode in one batched, observation-free request.
-  std::vector<Action> Replay;
-  if (!DirectHistory.empty()) {
-    Replay = DirectHistory;
-  } else {
-    Replay.reserve(State.Actions.size());
-    for (int A : State.Actions) {
-      Action Act;
-      Act.Index = A;
-      Replay.push_back(Act);
-    }
-  }
+  std::vector<Action> Replay = replayActions();
   Status Last = Status::ok();
   uint64_t StaleSession = SessionId;
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
@@ -319,8 +321,7 @@ Status CompilerEnv::settleWireObservations(StepReply &Reply) {
     CG_ASSIGN_OR_RETURN(Observation Full,
                         applyObservationDelta(It->second, Obs));
     Obs = std::move(Full);
-    ++DeltaReplies;
-    deltaRepliesReceivedTotal().inc();
+    deltaRepliesTotal().inc();
   }
   // Phase 2: retain the new full values as bases for the next request.
   for (size_t I = 0; I < N; ++I) {
@@ -500,7 +501,6 @@ StatusOr<Observation> CompilerEnv::reset() {
   for (int Round = 0; !Started.isOk() && Round < 4; ++Round) {
     if (!isRecoverableFailure(Started))
       return Started;
-    Recoveries.fetch_add(1, std::memory_order_relaxed);
     recoveriesTotal().inc();
     if (Service && (!SharedService || Service->crashed()))
       Client->restartService();
@@ -643,17 +643,7 @@ Status CompilerEnv::rebase(CompilerEnv &Parent) {
   if (!Restored) {
     // No snapshot survives for the parent's state (parent never stepped,
     // or the store evicted it): replay its history, observation-free.
-    std::vector<Action> Replay;
-    if (!DirectHistory.empty()) {
-      Replay = DirectHistory;
-    } else {
-      Replay.reserve(State.Actions.size());
-      for (int A : State.Actions) {
-        Action Act;
-        Act.Index = A;
-        Replay.push_back(Act);
-      }
-    }
+    std::vector<Action> Replay = replayActions();
     if (!Replay.empty()) {
       replayedActionsTotal().inc(Replay.size());
       StepRequest Req;

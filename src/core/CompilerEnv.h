@@ -28,7 +28,6 @@
 #include "core/Space.h"
 #include "service/ServiceClient.h"
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -151,21 +150,23 @@ public:
   /// env.write_bitcode() in Listing 1.
   Status writeIr(const std::string &Path);
 
-  /// Fault-tolerance telemetry. Relaxed atomic: recoveries happen on
-  /// pool worker threads while EnvPool::stats() reads from the caller.
-  uint64_t serviceRecoveries() const {
-    return Recoveries.load(std::memory_order_relaxed);
-  }
   service::ServiceClient &client() { return *Client; }
-
-  /// Wire-delta telemetry: observation replies that arrived as deltas and
-  /// were reconstructed against a retained base.
-  uint64_t deltaRepliesReceived() const { return DeltaReplies; }
 
 private:
   CompilerEnv(CompilerEnvOptions Opts,
               std::shared_ptr<service::CompilerService> Service,
               std::shared_ptr<service::ServiceClient> Client);
+
+  /// The set-up create() and attach() share: registers the builtin reward
+  /// spaces, checks the requested one, and seeds the episode state.
+  static StatusOr<std::unique_ptr<CompilerEnv>>
+  build(const CompilerEnvOptions &Opts,
+        std::shared_ptr<service::CompilerService> Service,
+        std::shared_ptr<service::ServiceClient> Client, bool SharedService);
+
+  /// The episode's actions as one observation-free replay batch (the
+  /// direct-space history when there is one).
+  std::vector<service::Action> replayActions() const;
 
   /// The backend spaces one step RPC must carry, plus the requested
   /// obs/reward space lists it will demux afterwards.
@@ -237,7 +238,6 @@ private:
   /// Bumped on reset and every state-changing step; the views key their
   /// caches on it.
   uint64_t Epoch = 0;
-  std::atomic<uint64_t> Recoveries{0};
   bool SharedService = false; ///< attach()-ed to a broker shard.
   std::string PendingBenchmarkUri; ///< Applied by the next reset().
   std::vector<service::Action> DirectHistory; ///< For replay (direct space).
@@ -252,7 +252,6 @@ private:
   /// valid across fork(), reset() to the same benchmark, and
   /// crash-recovery replay.
   std::unordered_map<std::string, service::Observation> WireBases;
-  uint64_t DeltaReplies = 0;
 };
 
 } // namespace core

@@ -323,7 +323,6 @@ Status LlvmSession::computeObservation(const ObservationSpaceInfo &Space,
     if (MemoIt != ObsMemo.end() && MemoIt->second.first == ModEpoch) {
       Out = MemoIt->second.second;
       Out.Type = Space.Type;
-      ++ObsMemoHits;
       static telemetry::Counter &MemoHits =
           telemetry::MetricsRegistry::global().counter(
               "cg_session_obs_memo_hits_total", {},

@@ -67,8 +67,6 @@ public:
   /// The session's pass manager (analysis-cache telemetry in tests/bench);
   /// nullptr before init().
   passes::PassManager *passManager() { return PM.get(); }
-  /// Memoized-observation hits for this session (test/bench telemetry).
-  uint64_t observationMemoHits() const { return ObsMemoHits; }
 
   /// Process-wide parsed-benchmark cache statistics (Table II ablation).
   static uint64_t cacheHits();
@@ -108,7 +106,6 @@ private:
   /// Deterministic observations memoized for the current epoch:
   /// space id -> (epoch, observation).
   std::unordered_map<int, std::pair<uint64_t, service::Observation>> ObsMemo;
-  uint64_t ObsMemoHits = 0;
 
   // Lazily computed -Oz / -O3 baselines for scaled rewards.
   int64_t OzInstructionCount = -1;

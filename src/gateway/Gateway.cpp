@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -146,8 +147,6 @@ struct TenantState {
   // Guarded by Impl::SessionsM.
   size_t LiveSessions = 0;
 
-  std::atomic<uint64_t> Dispatched{0};
-
   /// Takes one token; false = rejected, with the refill wait in
   /// \p RetryAfterMs.
   bool allow(uint32_t &RetryAfterMs) {
@@ -247,10 +246,6 @@ struct Gateway::Impl {
 
   mutable std::mutex ShardsM;
   std::vector<std::unique_ptr<ShardState>> Queues;
-
-  std::atomic<uint64_t> Restores{0};
-  std::atomic<uint64_t> Migrations{0};
-  std::atomic<uint64_t> Shed{0};
 
   /// Created last, torn down first: while it lives, onRequest may fire.
   std::unique_ptr<net::NetServer> Server;
@@ -639,7 +634,6 @@ struct Gateway::Impl {
     if (!Expired && (Ewma == 0 || RemainingUs >= Ewma))
       return false;
     telemetry::SpanScope Span("gateway.shed", "gateway");
-    Shed.fetch_add(1, std::memory_order_relaxed);
     shedExpiredTotal().inc();
     if (J.HoldsAdmission)
       releaseAdmission(J.Tenant);
@@ -684,7 +678,11 @@ struct Gateway::Impl {
 
   /// One backend round trip: encode, send to \p Shard, decode. A non-zero
   /// envelope deadline caps the transport timeout to the remaining budget;
-  /// the observed round-trip time feeds the shard's shedding EWMA.
+  /// the observed round-trip time feeds the shard's shedding EWMA. A reply
+  /// that does not decode is a link fault, returned as Unavailable: the
+  /// backend may already have applied the op, so the client must recover
+  /// (restore its last committed state) rather than take it as a verdict
+  /// on the request.
   StatusOr<ReplyEnvelope> backendCall(size_t Shard,
                                       const RequestEnvelope &Env,
                                       std::string *RawOut = nullptr) {
@@ -712,16 +710,19 @@ struct Gateway::Impl {
       S.EwmaUs.store(Old == 0 ? TookUs : (3 * Old + TookUs) / 4,
                      std::memory_order_relaxed);
     }
-    if (F.isCorrupt() && Raw.size() > 1)
-      Raw[Raw.size() / 2] ^= 0x5A;
+    if (F.isCorrupt())
+      Raw.resize(Raw.size() / 2);
     StatusOr<ReplyEnvelope> Reply = service::decodeReply(Raw);
-    if (Reply.isOk() && RawOut)
+    if (!Reply.isOk())
+      return unavailable("garbled backend reply from shard " +
+                         std::to_string(Shard) + ": " +
+                         Reply.status().message());
+    if (RawOut)
       *RawOut = std::move(Raw);
     return Reply;
   }
 
   void processJob(Job &J) {
-    J.Tenant->Dispatched.fetch_add(1, std::memory_order_relaxed);
     J.Tenant->DispatchedCtr->inc();
     switch (J.Env.Kind) {
     case RequestKind::StartSession:
@@ -771,34 +772,48 @@ struct Gateway::Impl {
     J.Reply(service::encodeReply(*Reply));
   }
 
-  /// Re-establishes \p Entry's backend session at its recorded state via
-  /// snapshot restore. Caller holds Entry->M. False = the state is
-  /// unreachable (snapshot gone) and the caller must drop the session.
-  bool tryRestore(SessionEntry &Entry) {
+  /// Best-effort teardown of backend session \p BackendId on \p Shard.
+  void endBackendSession(size_t Shard, uint64_t BackendId) {
+    RequestEnvelope End;
+    End.Kind = RequestKind::EndSession;
+    End.End.SessionId = BackendId;
+    (void)backendCall(Shard, End);
+  }
+
+  /// Starts a backend session on \p Shard at \p Entry's recorded state
+  /// via snapshot restore and returns its backend id. Nullopt = the state
+  /// is unreachable there (snapshot gone); a session that started at the
+  /// wrong state is ended first, so nothing is orphaned.
+  std::optional<uint64_t> restoreOnShard(const SessionEntry &Entry,
+                                         size_t Shard) {
     RequestEnvelope R;
     R.Kind = RequestKind::StartSession;
     R.Start = Entry.Start;
     R.Start.RestoreStateKey = Entry.LastStateKey;
-    size_t Shard = Entry.Shard.load(std::memory_order_relaxed);
     StatusOr<ReplyEnvelope> Reply = backendCall(Shard, R);
     if (!Reply.isOk() || Reply->Code != StatusCode::Ok)
-      return false;
+      return std::nullopt;
     // A fresh (unrestored) session only matches when the episode never
     // stepped — its initial state *is* the recorded state.
-    if (Reply->Start.Restored || Entry.LastStateKey == 0) {
-      Entry.BackendId = Reply->Start.SessionId;
-      Restores.fetch_add(1, std::memory_order_relaxed);
-      restoresTotal().inc();
-      CG_LOG_INFO_FOR("gateway", Entry.GwId)
-          << "restored backend session at state " << Entry.LastStateKey;
-      return true;
-    }
-    // Wrong state: give the orphan back before reporting failure.
-    RequestEnvelope End;
-    End.Kind = RequestKind::EndSession;
-    End.End.SessionId = Reply->Start.SessionId;
-    (void)backendCall(Shard, End);
-    return false;
+    if (Reply->Start.Restored || Entry.LastStateKey == 0)
+      return Reply->Start.SessionId;
+    endBackendSession(Shard, Reply->Start.SessionId);
+    return std::nullopt;
+  }
+
+  /// Re-establishes \p Entry's backend session on its shard. Caller holds
+  /// Entry->M. False = the state is unreachable and the caller must drop
+  /// the session.
+  bool tryRestore(SessionEntry &Entry) {
+    std::optional<uint64_t> BackendId =
+        restoreOnShard(Entry, Entry.Shard.load(std::memory_order_relaxed));
+    if (!BackendId)
+      return false;
+    Entry.BackendId = *BackendId;
+    restoresTotal().inc();
+    CG_LOG_INFO_FOR("gateway", Entry.GwId)
+        << "restored backend session at state " << Entry.LastStateKey;
+    return true;
   }
 
   void processStep(Job &J) {
@@ -932,20 +947,8 @@ struct Gateway::Impl {
         // Nowhere to go: the session stays; the shard keeps serving it.
         continue;
       }
-      RequestEnvelope R;
-      R.Kind = RequestKind::StartSession;
-      R.Start = Entry.Start;
-      R.Start.RestoreStateKey = Entry.LastStateKey;
-      StatusOr<ReplyEnvelope> Reply = backendCall(Target, R);
-      bool Landed = Reply.isOk() && Reply->Code == StatusCode::Ok &&
-                    (Reply->Start.Restored || Entry.LastStateKey == 0);
-      if (!Landed) {
-        if (Reply.isOk() && Reply->Code == StatusCode::Ok) {
-          RequestEnvelope End;
-          End.Kind = RequestKind::EndSession;
-          End.End.SessionId = Reply->Start.SessionId;
-          (void)backendCall(Target, End);
-        }
+      std::optional<uint64_t> BackendId = restoreOnShard(Entry, Target);
+      if (!BackendId) {
         unreserveShard(Target);
         // Snapshot is gone: the client must replay. Drop the entry so its
         // next op reports session loss.
@@ -954,18 +957,14 @@ struct Gateway::Impl {
       }
       // Retire the old backend session (best-effort; a crashed shard
       // already lost it).
-      RequestEnvelope End;
-      End.Kind = RequestKind::EndSession;
-      End.End.SessionId = Entry.BackendId;
-      (void)backendCall(Index, End);
+      endBackendSession(Index, Entry.BackendId);
       {
         std::lock_guard<std::mutex> Lock(SessionsM);
         --ShardSessions[Index];
       }
       Entry.Shard.store(Target, std::memory_order_relaxed);
-      Entry.BackendId = Reply->Start.SessionId;
+      Entry.BackendId = *BackendId;
       ++Moved;
-      Migrations.fetch_add(1, std::memory_order_relaxed);
       migrationsTotal().inc();
       CG_LOG_INFO_FOR("gateway", Entry.GwId)
           << "migrated session from shard " << Index << " to " << Target;
@@ -1030,25 +1029,6 @@ size_t Gateway::addShard() { return I->addShard(); }
 size_t Gateway::drainShard(size_t Index) { return I->drainShard(Index); }
 
 void Gateway::undrainShard(size_t Index) { I->undrainShard(Index); }
-
-uint64_t Gateway::dispatchedFor(const std::string &TenantName) const {
-  for (auto &T : I->Tenants)
-    if (T->Cfg.Name == TenantName)
-      return T->Dispatched.load(std::memory_order_relaxed);
-  return 0;
-}
-
-uint64_t Gateway::restores() const {
-  return I->Restores.load(std::memory_order_relaxed);
-}
-
-uint64_t Gateway::shedExpired() const {
-  return I->Shed.load(std::memory_order_relaxed);
-}
-
-uint64_t Gateway::migrations() const {
-  return I->Migrations.load(std::memory_order_relaxed);
-}
 
 size_t Gateway::queuedTotal() const {
   std::lock_guard<std::mutex> Lock(I->ShardsM);

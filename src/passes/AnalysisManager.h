@@ -217,15 +217,6 @@ public:
   /// should stop.
   bool cancellationRequested() const { return Cancel && Cancel->poll(); }
 
-  // -- Telemetry -----------------------------------------------------------
-  struct Stats {
-    uint64_t DomTreeHits = 0;
-    uint64_t DomTreeComputes = 0;
-    uint64_t LoopHits = 0;
-    uint64_t LoopComputes = 0;
-  };
-  const Stats &stats() const { return S; }
-
 private:
   struct Entry {
     std::unique_ptr<ir::DominatorTree> DT;
@@ -238,7 +229,6 @@ private:
   std::unordered_map<const ir::Function *, Entry> CowStash;
   analysis::FeatureCache Features;
   const util::CancelToken *Cancel = nullptr;
-  Stats S;
 };
 
 } // namespace passes

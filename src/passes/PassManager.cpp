@@ -63,7 +63,6 @@ StatusOr<bool> PassManager::run(Pass &P) {
                                 : std::string(),
                             "passes");
   PassResult R = P.run(M, AM);
-  ++St.PassesRun;
   passesRunTotal().inc();
   // Module-scoped passes that did not report fine-grained invalidation
   // themselves get their PreservedAnalyses applied module-wide, so a pass

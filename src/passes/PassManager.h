@@ -77,8 +77,8 @@ public:
   bool verifyPreservation() const { return VerifyPreservation; }
 
   // -- Telemetry -----------------------------------------------------------
+  /// Pass runs are counted in the cg_passes_run_total registry series.
   struct Stats {
-    uint64_t PassesRun = 0;
     uint64_t PassInstancesCreated = 0; ///< Registry factory invocations.
   };
   const Stats &stats() const { return St; }

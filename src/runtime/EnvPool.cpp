@@ -204,8 +204,6 @@ EnvPool::stepBatch(const std::vector<std::vector<int>> &Actions,
   if (!S.isOk())
     return S;
   stepsTotal().inc(Steps);
-  std::lock_guard<std::mutex> Lock(StatsMutex);
-  Aggregate.StepsExecuted += Steps;
   return Out;
 }
 
@@ -224,10 +222,6 @@ Status EnvPool::collect(size_t Episodes, const EpisodeFn &Fn) {
       CG_RETURN_IF_ERROR(Fn(W, Episode, *Envs[W], Obs));
       episodesTotal().inc();
       stepsTotal().inc(Envs[W]->episodeLength());
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += Envs[W]->episodeLength();
-      Aggregate.EpisodeReward.add(Envs[W]->episodeReward());
     }
   });
 }
@@ -251,10 +245,6 @@ StatusOr<std::vector<double>> EnvPool::evaluateSequences(
       Rewards[I] = Envs[W]->episodeReward();
       episodesTotal().inc();
       stepsTotal().inc(Candidates[I].size());
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += Candidates[I].size();
-      Aggregate.EpisodeReward.add(Rewards[I]);
     }
   });
   if (!S.isOk())
@@ -280,10 +270,6 @@ StatusOr<std::vector<double>> EnvPool::evaluateDirect(
       Rewards[I] = Envs[W]->episodeReward();
       episodesTotal().inc();
       stepsTotal().inc();
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += 1;
-      Aggregate.EpisodeReward.add(Rewards[I]);
     }
   });
   if (!S.isOk())
@@ -333,29 +319,9 @@ StatusOr<std::vector<double>> EnvPool::evaluateContinuations(
       Rewards[I] = Reward;
       episodesTotal().inc();
       stepsTotal().inc(Candidates[I].size());
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += Candidates[I].size();
-      Aggregate.EpisodeReward.add(Reward);
     }
   });
   if (!S.isOk())
     return S;
   return Rewards;
-}
-
-PoolStats EnvPool::stats() const {
-  PoolStats Out;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Out = Aggregate;
-  }
-  for (const std::unique_ptr<core::CompilerEnv> &E : Envs)
-    Out.EnvRecoveries += E->serviceRecoveries();
-  Out.ShardRestarts = Broker->shardRestarts();
-  if (ObservationCache *Cache = Broker->observationCache()) {
-    Out.CacheHits = Cache->hits();
-    Out.CacheMisses = Cache->misses();
-  }
-  return Out;
 }

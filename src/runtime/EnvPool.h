@@ -13,11 +13,11 @@
 /// fan-out from the initial state, and evaluateContinuations() for
 /// candidate fan-out from a shared mid-episode prefix (O(1) snapshot
 /// forks instead of per-candidate reset+replay). Benchmark lists are
-/// sharded across workers via DatasetRegistry, and per-worker statistics
-/// aggregate into PoolStats. Crash recovery is inherited from the env
-/// layer: a worker whose shard dies restores its last snapshot (or
-/// replays its episode) on the restarted shard, so a pool run loses no
-/// episodes to injected (or real) compiler faults.
+/// sharded across workers via DatasetRegistry; steps and episodes are
+/// counted in the cg_pool_* registry series. Crash recovery is inherited
+/// from the env layer: a worker whose shard dies restores its last
+/// snapshot (or replays its episode) on the restarted shard, so a pool run
+/// loses no episodes to injected (or real) compiler faults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 
 #include "core/Registry.h"
 #include "runtime/ServiceBroker.h"
-#include "util/Stats.h"
 #include "util/ThreadPool.h"
 
 #include <functional>
@@ -55,17 +54,6 @@ struct EnvPoolOptions {
   size_t MaxDatasetBenchmarks = 64; ///< Cap when expanding DatasetUri.
 };
 
-/// Aggregated cross-worker statistics.
-struct PoolStats {
-  size_t EpisodesCompleted = 0;
-  size_t StepsExecuted = 0;
-  uint64_t EnvRecoveries = 0; ///< Env-level restart+replay recoveries.
-  uint64_t ShardRestarts = 0; ///< Broker monitor restarts.
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  RunningStat EpisodeReward;
-};
-
 /// M environments over N service shards, stepped in parallel.
 ///
 /// Thread-safety: the batch entry points (resetAll, stepBatch, collect,
@@ -73,8 +61,7 @@ struct PoolStats {
 /// called from one coordinating thread at a time — concurrent batch calls
 /// on the same pool would step the same envs from two threads. Individual
 /// worker envs (env(i)) are not thread-safe either; touch them only
-/// between batch operations. nextBenchmark() and stats() are safe from any
-/// thread.
+/// between batch operations. nextBenchmark() is safe from any thread.
 class EnvPool {
 public:
   /// Builds the broker fleet, attaches one CompilerEnv per worker to its
@@ -161,12 +148,6 @@ public:
       core::CompilerEnv &Parent,
       const std::vector<std::vector<int>> &Candidates);
 
-  /// Aggregated statistics snapshot. Safe to call concurrently with batch
-  /// operations: the per-env recovery counters are relaxed atomics, so a
-  /// mid-batch snapshot is race-free but may lag the still-running
-  /// episodes' episode/step aggregates.
-  PoolStats stats() const;
-
 private:
   EnvPool(EnvPoolOptions Opts, std::unique_ptr<ServiceBroker> Broker);
 
@@ -181,9 +162,6 @@ private:
   std::vector<std::vector<std::string>> BenchmarkSlices; ///< Per worker.
   std::vector<size_t> BenchmarkCursor;      ///< Per worker.
   std::mutex CursorMutex;                   ///< Guards BenchmarkCursor.
-
-  mutable std::mutex StatsMutex;
-  PoolStats Aggregate;
 };
 
 } // namespace runtime

@@ -16,9 +16,8 @@ using namespace compiler_gym::runtime;
 
 namespace {
 
-// Process-wide mirrors of the per-instance counters: one cache is usually
-// shared by a whole broker, but several can coexist (tests, pools); the
-// registry series aggregates across all of them.
+// One cache is usually shared by a whole broker, but several can coexist
+// (tests, pools); the registry series aggregates across all of them.
 telemetry::Counter &cacheEvent(const char *Kind) {
   static telemetry::MetricsRegistry &M = telemetry::MetricsRegistry::global();
   static const char *Help = "Cross-session observation cache events";
@@ -55,13 +54,11 @@ bool ObservationCache::lookup(uint64_t StateKey, const std::string &SpaceName,
   std::lock_guard<std::mutex> Lock(S.Mutex);
   auto It = S.Map.find(Key);
   if (It == S.Map.end()) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
     cacheEvent("miss").inc();
     return false;
   }
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // Promote to MRU.
   Out = It->second->Obs;
-  Hits.fetch_add(1, std::memory_order_relaxed);
   cacheEvent("hit").inc();
   return true;
 }
@@ -82,7 +79,6 @@ void ObservationCache::insert(uint64_t StateKey, const std::string &SpaceName,
   if (S.Lru.size() > Opts.CapacityPerStripe) {
     S.Map.erase(S.Lru.back().Key);
     S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
     cacheEvent("eviction").inc();
   }
 }

@@ -21,7 +21,6 @@
 
 #include "service/CompilerService.h"
 
-#include <atomic>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -45,12 +44,8 @@ public:
   void insert(uint64_t StateKey, const std::string &SpaceName,
               const service::Observation &Obs) override;
 
-  /// Telemetry (relaxed counters; exact totals once traffic quiesces).
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
+  /// Hits, misses and evictions are counted (across every instance) in
+  /// the cg_obs_cache_events_total{event} registry series.
 
   /// Total entries across all stripes (takes every stripe lock).
   size_t size() const;
@@ -79,9 +74,6 @@ private:
 
   ObservationCacheOptions Opts;
   std::vector<Stripe> Stripes;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
 };
 
 } // namespace runtime

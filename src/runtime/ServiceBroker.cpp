@@ -188,14 +188,8 @@ size_t ServiceBroker::checkShards() {
     Crashed[I]->restart();
     ++Restarted;
   }
-  if (Restarted) {
-    Restarts.fetch_add(Restarted, std::memory_order_relaxed);
-    shardRestartsTotal().inc(Restarted);
-  }
-  if (Hung) {
-    HungRestarts.fetch_add(Hung, std::memory_order_relaxed);
-    hungRestartsTotal().inc(Hung);
-  }
+  shardRestartsTotal().inc(Restarted);
+  hungRestartsTotal().inc(Hung);
   return Restarted + Hung;
 }
 

@@ -106,19 +106,10 @@ public:
   /// One monitor sweep: restarts every shard whose service crashed, and
   /// (with StallWindowMs > 0) force-restarts wedged shards by replacement.
   /// Called periodically by the monitor thread; callable from tests.
-  /// Returns the number of shards restarted (both kinds).
+  /// Returns the number of shards restarted (both kinds); the registry
+  /// counts them in cg_broker_shard_restarts_total (crashed) and
+  /// cg_broker_hung_restarts_total (wedged).
   size_t checkShards();
-
-  /// Crash restarts performed by the broker (monitor + sweeps); hung-shard
-  /// force-restarts are counted separately in hungRestarts().
-  uint64_t shardRestarts() const {
-    return Restarts.load(std::memory_order_relaxed);
-  }
-
-  /// Wedged shards force-restarted by the watchdog.
-  uint64_t hungRestarts() const {
-    return HungRestarts.load(std::memory_order_relaxed);
-  }
 
   /// The shared observation cache; nullptr when disabled.
   ObservationCache *observationCache() { return ObsCache.get(); }
@@ -149,8 +140,6 @@ private:
                         std::shared_ptr<service::Transport>>>
       Graveyard;
   std::shared_ptr<ObservationCache> ObsCache;
-  std::atomic<uint64_t> Restarts{0};
-  std::atomic<uint64_t> HungRestarts{0};
 
   std::mutex MonitorMutex;
   std::condition_variable MonitorWake;

@@ -125,13 +125,7 @@ void CompilerService::restart() {
   LastSent.clear();
   Crashed.store(false, std::memory_order_relaxed);
   AbortRequested.store(false, std::memory_order_relaxed);
-  OpsHandled.store(0, std::memory_order_relaxed);
   CG_LOG_INFO_FOR("service", 0) << "compiler service restarted";
-}
-
-uint64_t CompilerService::deltaRepliesSent() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return DeltaRepliesSent;
 }
 
 void CompilerService::setObservationCache(
@@ -197,7 +191,6 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
       return Served->second;
     }
   }
-  OpsHandled.fetch_add(1, std::memory_order_relaxed);
   if (fault::FaultAction F = CG_FAULT_POINT("service.handle", &Token)) {
     if (F.isCrash())
       Crashed.store(true, std::memory_order_relaxed);
@@ -402,7 +395,6 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
         Delta.IsDelta = true;
         Delta.StateKey = CurKey;
         Delta.BaseKey = BaseKey;
-        ++DeltaRepliesSent;
         deltaRepliesTotal().inc();
         Reply.Step.Observations.push_back(std::move(Delta));
         continue;
@@ -444,7 +436,6 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
         if (Base && encodeObservationDelta(*Base, Obs, Delta)) {
           Delta.StateKey = CurKey;
           Delta.BaseKey = BaseKey;
-          ++DeltaRepliesSent;
           deltaRepliesTotal().inc();
           LastSent[Req.Step.SessionId][SpaceName] = std::move(Obs);
           Reply.Step.Observations.push_back(std::move(Delta));

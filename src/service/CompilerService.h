@@ -64,9 +64,6 @@ public:
 
   bool crashed() const { return Crashed.load(std::memory_order_relaxed); }
   size_t numSessions() const;
-  uint64_t opsHandled() const {
-    return OpsHandled.load(std::memory_order_relaxed);
-  }
 
   /// Liveness heartbeat for the broker's hung-shard watchdog: bumped once
   /// per completed RPC and once per cancel-token poll inside long-running
@@ -88,9 +85,6 @@ public:
   /// watchdog uses it to bounce every op still queued behind a wedge with
   /// Aborted so clients fail over instead of waiting out their timeouts.
   void markCrashed() { Crashed.store(true, std::memory_order_relaxed); }
-  /// Observations answered as deltas instead of full payloads (telemetry
-  /// for the wire-delta tests and benches).
-  uint64_t deltaRepliesSent() const;
 
 private:
   /// The mutex-guarded request path (dedup window, fault point, dispatch,
@@ -110,7 +104,6 @@ private:
   std::atomic<uint64_t> ProgressTicks{0};
   std::atomic<uint64_t> OpsStarted{0};
   std::atomic<uint64_t> OpsFinished{0};
-  std::atomic<uint64_t> OpsHandled{0};
   uint64_t NextSessionId = 1;
   std::map<uint64_t, std::unique_ptr<CompilationSession>> Sessions;
   std::shared_ptr<ObservationCacheBase> ObsCache;
@@ -128,7 +121,6 @@ private:
   /// installed. Bounded by live sessions x delta-eligible spaces; dropped
   /// on EndSession and restart().
   std::map<uint64_t, std::unordered_map<std::string, Observation>> LastSent;
-  uint64_t DeltaRepliesSent = 0;
 };
 
 } // namespace service

@@ -25,6 +25,7 @@
 #include "passes/PassManager.h"
 #include "passes/Utils.h"
 #include "passes/PassRegistry.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -87,15 +88,24 @@ TEST(AnalysisManager, CachesDomTreeAndLoops) {
   auto M = parse(TwoFunctionModule);
   Function *F = M->findFunction("main");
   AnalysisManager AM;
+  CounterDelta D;
+  auto DomTree = [&](const char *Outcome) {
+    return D("cg_analysis_lookups_total",
+             {{"kind", "domtree"}, {"outcome", Outcome}});
+  };
+  auto Loops = [&](const char *Outcome) {
+    return D("cg_analysis_lookups_total",
+             {{"kind", "loops"}, {"outcome", Outcome}});
+  };
   const DominatorTree &DT1 = AM.domTree(*F);
   const DominatorTree &DT2 = AM.domTree(*F);
   EXPECT_EQ(&DT1, &DT2);
-  EXPECT_EQ(AM.stats().DomTreeComputes, 1u);
-  EXPECT_EQ(AM.stats().DomTreeHits, 1u);
+  EXPECT_EQ(DomTree("compute"), 1u);
+  EXPECT_EQ(DomTree("hit"), 1u);
   (void)AM.loops(*F);
   (void)AM.loops(*F);
-  EXPECT_EQ(AM.stats().LoopComputes, 1u);
-  EXPECT_EQ(AM.stats().LoopHits, 1u);
+  EXPECT_EQ(Loops("compute"), 1u);
+  EXPECT_EQ(Loops("hit"), 1u);
 
   // Feature-only invalidation keeps CFG analyses warm.
   AM.invalidate(*F, PreservedAnalyses::cfg());
@@ -106,7 +116,7 @@ TEST(AnalysisManager, CachesDomTreeAndLoops) {
   EXPECT_FALSE(AM.isCached(*F, AK_DomTree));
   EXPECT_FALSE(AM.isCached(*F, AK_Loops));
   (void)AM.domTree(*F);
-  EXPECT_EQ(AM.stats().DomTreeComputes, 2u);
+  EXPECT_EQ(DomTree("compute"), 2u);
 }
 
 TEST(FeatureCache, MatchesFromScratchAndRecountsOnlyDirty) {
@@ -143,11 +153,12 @@ TEST(FeatureCache, SelfHealsOnFunctionSetChanges) {
 TEST(PassManager, ReusesPassInstancesAcrossRunsAndRounds) {
   auto M = parse(TwoFunctionModule);
   PassManager PM(*M);
+  CounterDelta D;
   ASSERT_TRUE(PM.run("dce").isOk());
   ASSERT_TRUE(PM.run("dce").isOk());
   ASSERT_TRUE(PM.run("instcombine").isOk());
   EXPECT_EQ(PM.stats().PassInstancesCreated, 2u);
-  EXPECT_EQ(PM.stats().PassesRun, 3u);
+  EXPECT_EQ(D("cg_passes_run_total"), 3u);
 
   // Fixpoint iteration re-runs the pipeline but never re-creates passes.
   ASSERT_TRUE(
@@ -425,6 +436,7 @@ TEST(LlvmSessionCaching, MemoizesObservationsPerEpoch) {
   auto B = datasets::DatasetRegistry::instance().resolve(
       "benchmark://cbench-v1/crc32");
   ASSERT_TRUE(B.isOk());
+  CounterDelta D;
   envs::LlvmSession Session;
   auto Spaces = Session.getActionSpaces();
   ASSERT_FALSE(Spaces.empty());
@@ -437,9 +449,9 @@ TEST(LlvmSessionCaching, MemoizesObservationsPerEpoch) {
 
   service::Observation O1, O2;
   ASSERT_TRUE(Session.computeObservation(InstCountSpace, O1).isOk());
-  EXPECT_EQ(Session.observationMemoHits(), 0u);
+  EXPECT_EQ(D("cg_session_obs_memo_hits_total"), 0u);
   ASSERT_TRUE(Session.computeObservation(InstCountSpace, O2).isOk());
-  EXPECT_EQ(Session.observationMemoHits(), 1u);
+  EXPECT_EQ(D("cg_session_obs_memo_hits_total"), 1u);
   EXPECT_EQ(O1.Ints, O2.Ints);
   EXPECT_EQ(O1.Ints, analysis::instCount(*Session.module()));
 
@@ -458,13 +470,14 @@ TEST(LlvmSessionCaching, MemoizesObservationsPerEpoch) {
   ASSERT_TRUE(Session.applyAction(A, End, SpaceChanged).isOk());
   service::Observation O3;
   ASSERT_TRUE(Session.computeObservation(InstCountSpace, O3).isOk());
-  EXPECT_EQ(Session.observationMemoHits(), 1u); // New epoch: recomputed.
+  // New epoch: recomputed, not memoized.
+  EXPECT_EQ(D("cg_session_obs_memo_hits_total"), 1u);
   EXPECT_EQ(O3.Ints, analysis::instCount(*Session.module()));
   EXPECT_NE(Session.stateKey(), Key1);
 
   // The session pass manager reuses instances and carries analyses.
   ASSERT_NE(Session.passManager(), nullptr);
-  EXPECT_EQ(Session.passManager()->stats().PassesRun, 1u);
+  EXPECT_EQ(D("cg_passes_run_total"), 1u);
 }
 
 TEST(LlvmSessionCaching, ForkGetsIndependentCaches) {

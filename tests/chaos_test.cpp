@@ -20,7 +20,7 @@
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
-#include "telemetry/MetricsRegistry.h"
+#include "tests/CounterDelta.h"
 #include "util/Timer.h"
 
 #include <gtest/gtest.h>
@@ -42,12 +42,6 @@ datasets::Benchmark testBenchmark() {
   return *B;
 }
 
-telemetry::Counter &replayedActionsTotal() {
-  return telemetry::MetricsRegistry::global().counter(
-      "cg_env_replayed_actions_total", {},
-      "Actions replayed into fresh sessions during recovery");
-}
-
 /// The fixed soak workload: deterministic action sequence, long enough to
 /// cross several fault windows.
 const std::vector<int> SoakActions = {0, 3, 1, 4, 2, 0, 3, 1};
@@ -55,6 +49,8 @@ const std::vector<int> SoakActions = {0, 3, 1, 4, 2, 0, 3, 1};
 struct EpisodeResult {
   std::string StateLine;
   std::string IrHash;
+  /// Per step: the default observation's values and the step reward.
+  std::vector<std::pair<std::vector<int64_t>, double>> Steps;
 };
 
 /// Drives one full episode on \p Env: reset, the soak workload (every
@@ -71,6 +67,7 @@ EpisodeResult runEpisode(core::CompilerEnv &Env) {
     EXPECT_TRUE(S.isOk()) << "action " << A << ": " << S.status().toString();
     if (!S.isOk())
       return Out;
+    Out.Steps.emplace_back(S->Obs.Ints, S->Reward);
   }
   auto Hash = Env.observation()["IrHash"];
   EXPECT_TRUE(Hash.isOk()) << Hash.status().toString();
@@ -229,10 +226,11 @@ TEST(ClientTransportFaults, CorruptReplyIsRetriedAsGarbledNotReconnected) {
   CO.MaxRetries = 1;
   service::ServiceClient Client(std::make_shared<service::CompilerService>(),
                                 CO);
+  CounterDelta D;
   EXPECT_TRUE(Client.heartbeat().isOk());
   EXPECT_EQ(FaultRegistry::global().fires("transport.reply"), 1u);
-  EXPECT_EQ(Client.retryCount(), 1u);
-  EXPECT_EQ(Client.reconnectCount(), 0u);
+  EXPECT_EQ(D("cg_client_retries_total"), 1u);
+  EXPECT_EQ(D("cg_client_reconnects_total"), 0u);
 }
 
 // -- The soak -----------------------------------------------------------------
@@ -389,6 +387,41 @@ TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
   EXPECT_EQ(OutB.IrHash, Ref.IrHash);
 }
 
+TEST(ChaosSoak, GarbledBackendStepReplyIsRecoveredNotForwarded) {
+  ScopedFaults Guard;
+  EpisodeResult Ref = runLocalEpisode();
+  ASSERT_EQ(Ref.Steps.size(), SoakActions.size());
+
+  gateway::GatewayOptions GO;
+  GO.NumShards = 1;
+  auto Gw = serveGateway(std::move(GO), "garble");
+  ASSERT_TRUE(Gw);
+  auto Env = connectEnv(*Gw);
+  ASSERT_TRUE(Env.isOk()) << Env.status().toString();
+
+  // Backend calls of the episode: StartSession and the initial
+  // observation (hits 0-1), then one per step. Corrupting hit 5 garbles
+  // the reply to the fourth step, after the shard has applied its action.
+  // Forwarded as-is, it would hand the env a wrong observation that later
+  // deltas build on.
+  FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "gateway.backend_call",
+                        .Kind = FaultKind::Corrupt,
+                        .AfterHits = 5,
+                        .MaxFires = 1});
+  FaultRegistry::global().install(Plan);
+  CounterDelta D;
+  EpisodeResult Chaos = runEpisode(**Env);
+  uint64_t Fires = FaultRegistry::global().fires("gateway.backend_call");
+  FaultRegistry::global().clear();
+  EXPECT_EQ(Fires, 1u);
+  // The garbled reply reached the env as Unavailable and was recovered.
+  EXPECT_EQ(D("cg_env_recoveries_total"), 1u);
+  EXPECT_EQ(Chaos.Steps, Ref.Steps);
+  EXPECT_EQ(Chaos.StateLine, Ref.StateLine);
+  EXPECT_EQ(Chaos.IrHash, Ref.IrHash);
+}
+
 // -- Deadline propagation -----------------------------------------------------
 
 TEST(ChaosDeadline, CancelAwareDelayRespectsBudgetAndRollsBack) {
@@ -434,6 +467,7 @@ TEST(ChaosDeadline, CancelAwareDelayRespectsBudgetAndRollsBack) {
 
 TEST(ChaosDeadline, ExpiredQueuedGatewayOpsAreShedTyped) {
   ScopedFaults Guard;
+  CounterDelta D;
   gateway::GatewayOptions GO;
   GO.NumShards = 1;
   auto Gw = serveGateway(std::move(GO), "shed");
@@ -471,13 +505,14 @@ TEST(ChaosDeadline, ExpiredQueuedGatewayOpsAreShedTyped) {
   auto ShedReply = service::decodeReply(*ShedRaw);
   ASSERT_TRUE(ShedReply.isOk());
   EXPECT_EQ(ShedReply->Code, StatusCode::DeadlineExceeded);
-  EXPECT_GE(Gw->shedExpired(), 1u);
+  EXPECT_GE(D("cg_gateway_shed_expired_total"), 1u);
 }
 
 // -- Hung-shard watchdog ------------------------------------------------------
 
 TEST(ChaosWatchdog, WedgedShardIsForceRestartedAndResumesFromSnapshot) {
   ScopedFaults Guard;
+  CounterDelta Restarts;
   gateway::GatewayOptions GO;
   GO.NumShards = 1;
   GO.MonitorIntervalMs = 10;
@@ -501,7 +536,7 @@ TEST(ChaosWatchdog, WedgedShardIsForceRestartedAndResumesFromSnapshot) {
   // target after the wedge.
   ASSERT_TRUE((*Env)->step(0).isOk());
 
-  uint64_t ReplayedBefore = replayedActionsTotal().value();
+  CounterDelta Replayed;
   FaultPlanSpec Plan;
   // A non-cooperative 1.2s stall inside pass execution: no cancel-token
   // polls, so no heartbeat progress — only the watchdog can clear it.
@@ -516,12 +551,12 @@ TEST(ChaosWatchdog, WedgedShardIsForceRestartedAndResumesFromSnapshot) {
   // The step must come back Ok: the wedged shard was force-restarted by
   // the watchdog and the env re-established its session transparently.
   EXPECT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_GE(Gw->broker().hungRestarts(), 1u);
-  EXPECT_EQ(Gw->broker().shardRestarts(), 0u)
+  EXPECT_GE(Restarts("cg_broker_hung_restarts_total"), 1u);
+  EXPECT_EQ(Restarts("cg_broker_shard_restarts_total"), 0u)
       << "wedge must be counted as a hung restart, not a crash restart";
   // Resume came from the content-addressed snapshot: zero actions
   // replayed.
-  EXPECT_EQ(replayedActionsTotal().value(), ReplayedBefore);
+  EXPECT_EQ(Replayed("cg_env_replayed_actions_total"), 0u);
 
   ASSERT_TRUE((*Env)->step(2).isOk());
   auto Hash = (*Env)->observation()["IrHash"];

@@ -9,6 +9,7 @@
 
 #include "core/Registry.h"
 #include "core/Wrappers.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -100,19 +101,23 @@ TEST(Env, RewardIsInstructionCountDelta) {
 TEST(Env, BatchedStepMatchesSequentialFinalState) {
   auto EnvA = makeLlvm();
   auto EnvB = makeLlvm();
-  ASSERT_TRUE(EnvA->reset().isOk());
-  ASSERT_TRUE(EnvB->reset().isOk());
   std::vector<int> Actions = {0, 5, 9, 2, 14};
+  CounterDelta RpcsA;
+  ASSERT_TRUE(EnvA->reset().isOk());
   for (int A : Actions)
     ASSERT_TRUE(EnvA->step(A).isOk());
-  ASSERT_TRUE(EnvB->step(Actions).isOk()); // One batched RPC.
   auto HashA = EnvA->observation()["IrHash"];
+  uint64_t CostA = RpcsA("cg_client_rpcs_total");
+  CounterDelta RpcsB;
+  ASSERT_TRUE(EnvB->reset().isOk());
+  ASSERT_TRUE(EnvB->step(Actions).isOk()); // One batched RPC.
   auto HashB = EnvB->observation()["IrHash"];
+  uint64_t CostB = RpcsB("cg_client_rpcs_total");
   ASSERT_TRUE(HashA.isOk());
   ASSERT_TRUE(HashB.isOk());
   EXPECT_EQ(*HashA->asString(), *HashB->asString());
   // Batched used fewer RPCs.
-  EXPECT_LT(EnvB->client().rpcCount(), EnvA->client().rpcCount());
+  EXPECT_LT(CostB, CostA);
 }
 
 TEST(Env, LazyObservationSpaces) {
@@ -241,13 +246,13 @@ TEST(Env, ScaledRewardReachesOneAtOzParity) {
 TEST(Env, MultiSpaceStepIsOneRpc) {
   auto Env = makeLlvm();
   ASSERT_TRUE(Env->reset().isOk());
-  uint64_t Before = Env->client().rpcCount();
+  CounterDelta Rpcs;
   // Three observation spaces plus two reward spaces (the active one and an
   // explicit scaled one) all ride the single step RPC.
   auto R = Env->step({0}, {"InstCount", "Autophase", "IrInstructionCount"},
                      {"IrInstructionCount", "IrInstructionCountOz"});
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
 
   ASSERT_EQ(R->Observations.size(), 3u);
   EXPECT_EQ(R->Observations[0].first, "InstCount");
@@ -263,10 +268,10 @@ TEST(Env, MultiSpaceStepIsOneRpc) {
 
   // Post-step view queries of the requested spaces are cache hits: zero
   // additional RPCs.
-  uint64_t AfterStep = Env->client().rpcCount();
+  Rpcs.reset();
   ASSERT_TRUE(Env->observation()["Autophase"].isOk());
   ASSERT_TRUE(Env->observation()["IrInstructionCount"].isOk());
-  EXPECT_EQ(Env->client().rpcCount(), AfterStep);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 0u);
 }
 
 TEST(Env, SequentialObservesCostMoreRpcsThanMultiSpaceStep) {
@@ -275,15 +280,15 @@ TEST(Env, SequentialObservesCostMoreRpcsThanMultiSpaceStep) {
   ASSERT_TRUE(EnvA->reset().isOk());
   ASSERT_TRUE(EnvB->reset().isOk());
   const std::vector<std::string> Spaces = {"InstCount", "Autophase", "Ir"};
-  uint64_t BeforeA = EnvA->client().rpcCount();
+  CounterDelta RpcsA;
   ASSERT_TRUE(EnvA->step({0}, Spaces).isOk());
-  uint64_t CostA = EnvA->client().rpcCount() - BeforeA;
+  uint64_t CostA = RpcsA("cg_client_rpcs_total");
 
-  uint64_t BeforeB = EnvB->client().rpcCount();
+  CounterDelta RpcsB;
   ASSERT_TRUE(EnvB->step(0).isOk());
   for (const std::string &S : Spaces)
     ASSERT_TRUE(EnvB->rawObservations({S}).isOk());
-  uint64_t CostB = EnvB->client().rpcCount() - BeforeB;
+  uint64_t CostB = RpcsB("cg_client_rpcs_total");
   EXPECT_EQ(CostA, 1u);
   EXPECT_EQ(CostB, 1u + Spaces.size());
 }

@@ -19,7 +19,7 @@
 #include "ir/Snapshot.h"
 #include "passes/PassManager.h"
 #include "runtime/EnvPool.h"
-#include "telemetry/MetricsRegistry.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -45,18 +45,6 @@ entry:
   ret i64 %c
 }
 )");
-}
-
-uint64_t replayedActions() {
-  return telemetry::MetricsRegistry::global()
-      .counter("cg_env_replayed_actions_total")
-      .value();
-}
-
-uint64_t snapshotHits() {
-  return telemetry::MetricsRegistry::global()
-      .counter("cg_snapshot_store_hits_total", {{"outcome", "hit"}})
-      .value();
 }
 
 // -- Module structural sharing -------------------------------------------------
@@ -219,12 +207,12 @@ TEST(Recovery, CrashRecoveryRestoresSnapshotWithZeroReplayedActions) {
                         .AfterHits = 7,
                         .MaxFires = 1});
   fault::ScopedFaults Faults(Plan);
+  CounterDelta Recoveries;
   auto Env = core::make("llvm-v0", Crashy);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
 
-  const uint64_t ReplayedBefore = replayedActions();
-  const uint64_t HitsBefore = snapshotHits();
+  CounterDelta D;
   for (int Step = 0; Step < 10; ++Step) {
     auto R = (*Env)->step(Step % 5);
     ASSERT_TRUE(R.isOk()) << "step " << Step << ": "
@@ -232,9 +220,9 @@ TEST(Recovery, CrashRecoveryRestoresSnapshotWithZeroReplayedActions) {
   }
   // The service really crashed, and recovery restored the last committed
   // state from its snapshot instead of replaying the episode.
-  EXPECT_GE((*Env)->serviceRecoveries(), 1u);
-  EXPECT_GT(snapshotHits(), HitsBefore);
-  EXPECT_EQ(replayedActions(), ReplayedBefore);
+  EXPECT_GE(Recoveries("cg_env_recoveries_total"), 1u);
+  EXPECT_GT(D("cg_snapshot_store_hits_total", {{"outcome", "hit"}}), 0u);
+  EXPECT_EQ(D("cg_env_replayed_actions_total"), 0u);
   // Bit-identical to the uninterrupted episode.
   EXPECT_EQ(irHash(**Env), irHash(*Ref));
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), Ref->episodeReward());

@@ -18,6 +18,7 @@
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
 #include "telemetry/Trace.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -262,6 +263,10 @@ TEST(Gateway, FullQueueRepliesWithBackpressureNotSilence) {
 }
 
 TEST(Gateway, WeightedRoundRobinKeepsStarvedTenantMoving) {
+  CounterDelta D;
+  auto Dispatched = [&D](const char *Tenant) {
+    return D("cg_gateway_dispatched_total", {{"tenant", Tenant}});
+  };
   GatewayOptions Opts;
   Opts.NumShards = 1;
   Opts.Tenants = {{"bulk", "bulk-tok"}, {"light", "light-tok"}};
@@ -293,14 +298,14 @@ TEST(Gateway, WeightedRoundRobinKeepsStarvedTenantMoving) {
       EXPECT_TRUE(R.isOk() && R->Code == StatusCode::Ok);
     });
   for (int I = 0; I < LightOps; ++I)
-    Threads.emplace_back([&Gw, &LightStart, &LightDone,
+    Threads.emplace_back([&Gw, &LightStart, &LightDone, &Dispatched,
                           &BulkDispatchedWhenLightFinished] {
       SocketTransport Mine(Gw->boundAddress());
       auto R =
           rawCall(Mine, rawStep("light-tok", LightStart->Start.SessionId));
       EXPECT_TRUE(R.isOk() && R->Code == StatusCode::Ok);
       if (LightDone.fetch_add(1) + 1 == LightOps)
-        BulkDispatchedWhenLightFinished.store(Gw->dispatchedFor("bulk"));
+        BulkDispatchedWhenLightFinished.store(Dispatched("bulk"));
     });
   // Every request must be sitting in its queue before dispatch resumes,
   // or the race (not the scheduler) decides the interleaving.
@@ -318,8 +323,8 @@ TEST(Gateway, WeightedRoundRobinKeepsStarvedTenantMoving) {
   uint64_t BulkAtLightDone = BulkDispatchedWhenLightFinished.load();
   ASSERT_NE(BulkAtLightDone, UINT64_MAX);
   EXPECT_LT(BulkAtLightDone, 1u + BulkOps);
-  EXPECT_EQ(Gw->dispatchedFor("bulk"), 1u + BulkOps);
-  EXPECT_EQ(Gw->dispatchedFor("light"), 1u + LightOps);
+  EXPECT_EQ(Dispatched("bulk"), 1u + BulkOps);
+  EXPECT_EQ(Dispatched("light"), 1u + LightOps);
 }
 
 // -- End-to-end episodes ------------------------------------------------------
@@ -340,29 +345,38 @@ TEST(Gateway, RemoteEpisodeIsIdenticalToInProcess) {
   auto Remote = connectEnv(*Gw, "tok");
   ASSERT_TRUE(Remote.isOk()) << Remote.status().toString();
 
-  auto CtlObs = (*Control)->reset();
-  auto RemObs = (*Remote)->reset();
-  ASSERT_TRUE(CtlObs.isOk());
-  ASSERT_TRUE(RemObs.isOk()) << RemObs.status().toString();
-  EXPECT_EQ(CtlObs->Ints, RemObs->Ints);
-
   // Repeats on purpose: a re-applied pass often changes nothing, which is
   // exactly what the delta handshake compresses.
   const std::vector<int> Actions = {0, 1, 1, 2, 0, 0, 3, 2, 1, 0};
+  // Each episode runs in its own counter bracket, control first.
+  CounterDelta CtlDeltas;
+  auto CtlObs = (*Control)->reset();
+  ASSERT_TRUE(CtlObs.isOk());
+  std::vector<core::StepResult> CtlSteps;
   for (int A : Actions) {
     auto Ctl = (*Control)->step(A);
-    auto Rem = (*Remote)->step(A);
     ASSERT_TRUE(Ctl.isOk()) << Ctl.status().toString();
-    ASSERT_TRUE(Rem.isOk()) << Rem.status().toString();
-    EXPECT_EQ(Ctl->Obs.Ints, Rem->Obs.Ints) << "action " << A;
-    EXPECT_DOUBLE_EQ(Ctl->Reward, Rem->Reward) << "action " << A;
+    CtlSteps.push_back(std::move(*Ctl));
   }
+  const uint64_t CtlDeltaReplies = CtlDeltas("cg_env_delta_replies_total");
+
+  CounterDelta RemDeltas;
+  auto RemObs = (*Remote)->reset();
+  ASSERT_TRUE(RemObs.isOk()) << RemObs.status().toString();
+  EXPECT_EQ(CtlObs->Ints, RemObs->Ints);
+  for (size_t I = 0; I < Actions.size(); ++I) {
+    auto Rem = (*Remote)->step(Actions[I]);
+    ASSERT_TRUE(Rem.isOk()) << Rem.status().toString();
+    EXPECT_EQ(CtlSteps[I].Obs.Ints, Rem->Obs.Ints) << "action " << Actions[I];
+    EXPECT_DOUBLE_EQ(CtlSteps[I].Reward, Rem->Reward)
+        << "action " << Actions[I];
+  }
+  const uint64_t RemDeltaReplies = RemDeltas("cg_env_delta_replies_total");
   EXPECT_DOUBLE_EQ((*Control)->episodeReward(), (*Remote)->episodeReward());
   // The wire-delta handshake worked through the gateway's byte-for-byte
   // reply forwarding.
-  EXPECT_GT((*Remote)->deltaRepliesReceived(), 0u);
-  EXPECT_EQ((*Control)->deltaRepliesReceived(),
-            (*Remote)->deltaRepliesReceived());
+  EXPECT_GT(RemDeltaReplies, 0u);
+  EXPECT_EQ(CtlDeltaReplies, RemDeltaReplies);
 }
 
 TEST(Gateway, RemoteTraceStitchesThroughGateway) {
@@ -404,6 +418,7 @@ TEST(Gateway, RemoteTraceStitchesThroughGateway) {
 // -- Shard loss, drain, scale-out ---------------------------------------------
 
 TEST(Gateway, TransparentlyRestoresSessionAfterShardRestart) {
+  CounterDelta D;
   GatewayOptions Opts;
   Opts.NumShards = 1;
   auto Gw = serveGateway(std::move(Opts), "restore");
@@ -419,8 +434,8 @@ TEST(Gateway, TransparentlyRestoresSessionAfterShardRestart) {
   Gw->broker().shardService(0)->restart();
   auto R = (*Env)->step(2);
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_GE(Gw->restores(), 1u);
-  EXPECT_EQ((*Env)->serviceRecoveries(), 0u); // Invisible to the client.
+  EXPECT_GE(D("cg_gateway_restores_total"), 1u);
+  EXPECT_EQ(D("cg_env_recoveries_total"), 0u); // Invisible to the client.
 
   // The restored trajectory matches an uninterrupted control episode.
   core::MakeOptions MO;
@@ -452,6 +467,7 @@ TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
     ControlObs.push_back(C->Obs.Ints);
   }
 
+  CounterDelta D;
   GatewayOptions Opts;
   Opts.NumShards = 1;
   Opts.MonitorIntervalMs = 2; // Restart crashed shards promptly.
@@ -474,10 +490,11 @@ TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
   // The episode crossed at least one crash, healed by the gateway's
   // transparent restore and/or the env's own re-establishment.
-  EXPECT_GE(Gw->broker().shardRestarts(), 1u);
+  EXPECT_GE(D("cg_broker_shard_restarts_total"), 1u);
 }
 
 TEST(Gateway, DrainMigratesLiveSessionMidEpisode) {
+  CounterDelta D;
   GatewayOptions Opts;
   Opts.NumShards = 2;
   auto Gw = serveGateway(std::move(Opts), "drain");
@@ -494,7 +511,7 @@ TEST(Gateway, DrainMigratesLiveSessionMidEpisode) {
     Moved = Gw->drainShard(1);
   }
   EXPECT_EQ(Moved, 1u);
-  EXPECT_GE(Gw->migrations(), 1u);
+  EXPECT_GE(D("cg_gateway_migrations_total"), 1u);
 
   // The episode continues on the new shard, mid-flight, same trajectory.
   for (int A : {2, 3, 0})

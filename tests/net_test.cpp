@@ -19,6 +19,7 @@
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
+#include "tests/CounterDelta.h"
 #include "util/Rng.h"
 
 #include <gtest/gtest.h>
@@ -361,6 +362,7 @@ TEST_F(NetLoopbackTest, ReconnectsAfterServerRestart) {
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 40;
   auto Client = makeClient(Opts);
+  CounterDelta D;
   ASSERT_TRUE(Client->heartbeat().isOk());
 
   Server.reset(); // Connection dies with the server.
@@ -375,7 +377,7 @@ TEST_F(NetLoopbackTest, ReconnectsAfterServerRestart) {
   Restarter.join();
   EXPECT_TRUE(S.isOk()) << S.toString();
   EXPECT_GE(Channel->connectCount(), 2u);
-  EXPECT_GE(Client->reconnectCount(), 1u);
+  EXPECT_GE(D("cg_client_reconnects_total"), 1u);
 }
 
 TEST_F(NetLoopbackTest, GarbageOnTheWireDropsConnectionCleanly) {
@@ -455,12 +457,13 @@ TEST(ClientRetry, DisconnectFaultsAreRetriedAndCounted) {
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 4;
   ServiceClient Client(Service, Opts);
+  CounterDelta D;
   Status S = Client.heartbeat();
   ASSERT_FALSE(S.isOk());
   EXPECT_EQ(S.code(), StatusCode::Unavailable);
-  EXPECT_EQ(Client.retryCount(), 3u);
+  EXPECT_EQ(D("cg_client_retries_total"), 3u);
   // Every failed attempt (initial + 3 retries) was channel loss.
-  EXPECT_EQ(Client.reconnectCount(), 4u);
+  EXPECT_EQ(D("cg_client_reconnects_total"), 4u);
 }
 
 TEST(ClientRetry, PartialWriteFaultIsRetriedAsGarbled) {
@@ -476,12 +479,14 @@ TEST(ClientRetry, PartialWriteFaultIsRetriedAsGarbled) {
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 2;
   ServiceClient Client(Service, Opts);
+  CounterDelta D;
   // With p=0.5 and 9 attempts per call, 20 heartbeats all succeed with
   // overwhelming probability — and some retries must have happened.
   for (int I = 0; I < 20; ++I)
     ASSERT_TRUE(Client.heartbeat().isOk());
-  EXPECT_GT(Client.retryCount(), 0u);
-  EXPECT_EQ(Client.reconnectCount(), 0u); // Garbled is not channel loss.
+  EXPECT_GT(D("cg_client_retries_total"), 0u);
+  // Garbled is not channel loss.
+  EXPECT_EQ(D("cg_client_reconnects_total"), 0u);
 }
 
 TEST(ClientRetry, TypedBackpressureIsHonoredWithoutRecovery) {
@@ -500,13 +505,14 @@ TEST(ClientRetry, TypedBackpressureIsHonoredWithoutRecovery) {
   Opts.MaxRetries = 3;
   Opts.RetryBackoffMs = 1;
   ServiceClient Client(Service, Scripted, Opts);
+  CounterDelta D;
   Status S = Client.heartbeat();
   EXPECT_TRUE(S.isOk()) << S.toString();
-  EXPECT_EQ(Client.retryCount(), 2u);
+  EXPECT_EQ(D("cg_client_retries_total"), 2u);
   // Backpressure is flow control, not channel loss: no reconnects, no
   // restarts.
-  EXPECT_EQ(Client.reconnectCount(), 0u);
-  EXPECT_EQ(Client.restartCount(), 0u);
+  EXPECT_EQ(D("cg_client_reconnects_total"), 0u);
+  EXPECT_EQ(D("cg_client_service_restarts_total"), 0u);
 }
 
 TEST(ClientRetry, ExhaustedBackpressureSurfacesTypedReply) {
@@ -537,8 +543,9 @@ TEST(ClientRetry, NullServiceRestartIsNoOp) {
   auto Base = std::make_shared<QueueTransport>(
       [Service](const std::string &B) { return Service->handle(B); });
   ServiceClient Client(nullptr, Base);
+  CounterDelta D;
   Client.restartService(); // Must not crash.
-  EXPECT_EQ(Client.restartCount(), 0u);
+  EXPECT_EQ(D("cg_client_service_restarts_total"), 0u);
   EXPECT_TRUE(Client.heartbeat().isOk());
 }
 

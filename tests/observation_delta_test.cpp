@@ -13,6 +13,7 @@
 #include "runtime/ObservationCache.h"
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,9 @@ core::MakeOptions plainLlvm(const std::string &Benchmark) {
 }
 
 TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
+  CounterDelta D;
+  auto Deltas = [&D] { return D("cg_env_delta_replies_total"); };
+  const telemetry::Labels Received = {{"direction", "received"}};
   auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
   ASSERT_TRUE(Env.isOk()) << Env.status().toString();
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -204,14 +208,14 @@ TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
                                            "Autophase"};
   auto First = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(First.isOk()) << First.status().toString();
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), 0u) << "no base on first fetch";
+  EXPECT_EQ(Deltas(), 0u) << "no base on first fetch";
 
   // Same state, advertised bases: the service answers "unchanged" deltas.
-  uint64_t BytesBefore = (*Env)->client().wireBytesReceived();
+  CounterDelta Wire;
   auto Second = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Second.isOk());
-  uint64_t UnchangedBytes = (*Env)->client().wireBytesReceived() - BytesBefore;
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), 3u);
+  uint64_t UnchangedBytes = Wire("cg_wire_bytes_total", Received);
+  EXPECT_EQ(Deltas(), 3u);
   for (size_t I = 0; I < Spaces.size(); ++I) {
     EXPECT_EQ((*First)[I].Ints, (*Second)[I].Ints) << Spaces[I];
     EXPECT_EQ((*First)[I].Doubles, (*Second)[I].Doubles) << Spaces[I];
@@ -229,10 +233,10 @@ TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
       break;
     }
   ASSERT_TRUE((*Env)->step({Action}).isOk());
-  uint64_t DeltasBefore = (*Env)->deltaRepliesReceived();
+  D.reset();
   auto Third = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Third.isOk());
-  EXPECT_GT((*Env)->deltaRepliesReceived(), DeltasBefore);
+  EXPECT_GT(Deltas(), 0u);
 
   auto Fresh = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
   ASSERT_TRUE(Fresh.isOk());
@@ -254,9 +258,9 @@ TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
         core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
     ASSERT_TRUE(Env2.isOk());
     ASSERT_TRUE((*Env2)->reset().isOk());
-    uint64_t Before = (*Env2)->client().wireBytesReceived();
+    Wire.reset();
     ASSERT_TRUE((*Env2)->rawObservations(Spaces).isOk());
-    FullBytes = (*Env2)->client().wireBytesReceived() - Before;
+    FullBytes = Wire("cg_wire_bytes_total", Received);
   }
   EXPECT_LT(UnchangedBytes, FullBytes / 4);
 }
@@ -272,9 +276,10 @@ TEST(ObservationDeltaE2E, ForkedEnvInheritsBasesAndStaysCorrect) {
   ASSERT_TRUE(Fork.isOk()) << Fork.status().toString();
   // The clone holds the parent's bases for the identical state: its first
   // fetch can already be an unchanged-delta.
+  CounterDelta D;
   auto Obs = (*Fork)->rawObservations(Spaces);
   ASSERT_TRUE(Obs.isOk());
-  EXPECT_GT((*Fork)->deltaRepliesReceived(), 0u);
+  EXPECT_GT(D("cg_env_delta_replies_total"), 0u);
   auto Parent = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Parent.isOk());
   for (size_t I = 0; I < Spaces.size(); ++I) {
@@ -315,6 +320,7 @@ TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
                           .AfterHits = 6,
                           .MaxFires = 1});
     fault::ScopedFaults Faults(Plan);
+    CounterDelta D;
     auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
     ASSERT_TRUE(Env.isOk());
     ASSERT_TRUE((*Env)->reset().isOk());
@@ -323,7 +329,7 @@ TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
     // content-addressed bases stay coherent.
     for (int I = 0; I < 4; ++I)
       ASSERT_TRUE((*Env)->step({0}).isOk());
-    EXPECT_GT((*Env)->serviceRecoveries(), 0u);
+    EXPECT_GT(D("cg_env_recoveries_total"), 0u);
     auto Got = (*Env)->rawObservations(Spaces);
     ASSERT_TRUE(Got.isOk());
     Obs = std::move(*Got);

@@ -16,6 +16,7 @@
 #include "envs/llvm/LlvmSession.h"
 #include "fault/FaultRegistry.h"
 #include "rl/Rollout.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -50,6 +51,10 @@ FaultPlanSpec recurringCrashPlan(uint64_t Ops, uint64_t Repeats) {
 
 // -- ObservationCache ----------------------------------------------------------
 
+uint64_t cacheEvents(const CounterDelta &D, const char *Event) {
+  return D("cg_obs_cache_events_total", {{"event", Event}});
+}
+
 service::Observation intObs(int64_t V) {
   service::Observation Obs;
   Obs.Type = service::ObservationType::Int64Value;
@@ -59,13 +64,14 @@ service::Observation intObs(int64_t V) {
 
 TEST(ObservationCache, RoundTripAndCounters) {
   ObservationCache Cache;
+  CounterDelta D;
   service::Observation Out;
   EXPECT_FALSE(Cache.lookup(1, "Autophase", Out));
-  EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_EQ(cacheEvents(D, "miss"), 1u);
   Cache.insert(1, "Autophase", intObs(42));
   ASSERT_TRUE(Cache.lookup(1, "Autophase", Out));
   EXPECT_EQ(Out.IntValue, 42);
-  EXPECT_EQ(Cache.hits(), 1u);
+  EXPECT_EQ(cacheEvents(D, "hit"), 1u);
   // Same state, different space: distinct entry.
   EXPECT_FALSE(Cache.lookup(1, "InstCount", Out));
   // Different state, same space: distinct entry.
@@ -78,6 +84,7 @@ TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
   Opts.NumStripes = 1; // Single stripe: capacity is exact.
   Opts.CapacityPerStripe = 4;
   ObservationCache Cache(Opts);
+  CounterDelta D;
   for (int64_t I = 0; I < 4; ++I)
     Cache.insert(static_cast<uint64_t>(I + 1), "S", intObs(I));
   // Touch entry 1 so it is MRU, then overflow.
@@ -85,7 +92,7 @@ TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
   ASSERT_TRUE(Cache.lookup(1, "S", Out));
   Cache.insert(100, "S", intObs(100));
   EXPECT_EQ(Cache.size(), 4u);
-  EXPECT_EQ(Cache.evictions(), 1u);
+  EXPECT_EQ(cacheEvents(D, "eviction"), 1u);
   EXPECT_TRUE(Cache.lookup(1, "S", Out));   // Recently used: kept.
   EXPECT_FALSE(Cache.lookup(2, "S", Out));  // LRU victim.
   EXPECT_TRUE(Cache.lookup(100, "S", Out)); // New entry present.
@@ -96,6 +103,7 @@ TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
   Opts.NumStripes = 4;
   Opts.CapacityPerStripe = 32;
   ObservationCache Cache(Opts);
+  CounterDelta D;
   constexpr int NumThreads = 4;
   constexpr int OpsPerThread = 2000;
   std::vector<std::thread> Threads;
@@ -119,7 +127,8 @@ TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
   // Each thread performs one lookup per op where I % 3 != 0.
   constexpr uint64_t LookupsPerThread =
       OpsPerThread - (OpsPerThread + 2) / 3;
-  EXPECT_EQ(Cache.hits() + Cache.misses(), NumThreads * LookupsPerThread);
+  EXPECT_EQ(cacheEvents(D, "hit") + cacheEvents(D, "miss"),
+            NumThreads * LookupsPerThread);
 }
 
 // -- ServiceBroker -------------------------------------------------------------
@@ -157,6 +166,7 @@ TEST(ServiceBroker, SweepRestartsCrashedShards) {
                         .AfterHits = 2,
                         .MaxFires = 1});
   ScopedFaults Faults(Plan);
+  CounterDelta D;
   ServiceBroker Broker(Opts);
   auto Client = Broker.makeClient(0);
   EXPECT_TRUE(Client->heartbeat().isOk());
@@ -166,7 +176,7 @@ TEST(ServiceBroker, SweepRestartsCrashedShards) {
   EXPECT_FALSE(Broker.shardService(1)->crashed());
 
   EXPECT_EQ(Broker.checkShards(), 1u);
-  EXPECT_EQ(Broker.shardRestarts(), 1u);
+  EXPECT_EQ(D("cg_broker_shard_restarts_total"), 1u);
   EXPECT_FALSE(Broker.shardService(0)->crashed());
   EXPECT_TRUE(Client->heartbeat().isOk());
   EXPECT_EQ(Broker.checkShards(), 0u); // Healthy fleet: no-op.
@@ -183,6 +193,7 @@ TEST(ServiceBroker, MonitorThreadRestartsCrashedShardUnprompted) {
                         .AfterHits = 1,
                         .MaxFires = 1});
   ScopedFaults Faults(Plan);
+  CounterDelta D;
   ServiceBroker Broker(Opts);
   auto Client = Broker.makeClient(0);
   EXPECT_TRUE(Client->heartbeat().isOk());
@@ -191,7 +202,7 @@ TEST(ServiceBroker, MonitorThreadRestartsCrashedShardUnprompted) {
   for (int I = 0; I < 200 && Broker.shardService(0)->crashed(); ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_FALSE(Broker.shardService(0)->crashed());
-  EXPECT_GE(Broker.shardRestarts(), 1u);
+  EXPECT_GE(D("cg_broker_shard_restarts_total"), 1u);
 }
 
 // -- Shared-shard environments -------------------------------------------------
@@ -211,6 +222,7 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
   BO.NumShards = 1;
   BO.MonitorIntervalMs = 0; // Recovery driven purely by the envs.
   ServiceBroker Broker(BO);
+  CounterDelta D;
   auto A = core::CompilerEnv::attach(*EnvOpts, Broker.shardService(0),
                                      Broker.shardTransport(0));
   auto B = core::CompilerEnv::attach(*EnvOpts, Broker.shardService(0),
@@ -231,7 +243,7 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
                              << RB.status().toString();
     }
   }
-  EXPECT_GE((*A)->serviceRecoveries() + (*B)->serviceRecoveries(), 1u);
+  EXPECT_GE(D("cg_env_recoveries_total"), 1u);
 
   // Fault-free references on private services.
   auto RefA = core::make("llvm-v0", MO);
@@ -270,6 +282,7 @@ EnvPoolOptions smokePoolOptions(size_t Workers) {
 }
 
 TEST(EnvPool, ResetAllAndStepBatch) {
+  CounterDelta D;
   auto Pool = EnvPool::create(smokePoolOptions(3));
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
   EXPECT_EQ((*Pool)->size(), 3u);
@@ -285,8 +298,7 @@ TEST(EnvPool, ResetAllAndStepBatch) {
   auto Results = (*Pool)->stepBatch(Actions);
   ASSERT_TRUE(Results.isOk()) << Results.status().toString();
   ASSERT_EQ(Results->size(), 3u);
-  PoolStats Stats = (*Pool)->stats();
-  EXPECT_EQ(Stats.StepsExecuted, 6u);
+  EXPECT_EQ(D("cg_pool_steps_total"), 6u);
 
   auto Bad = (*Pool)->stepBatch({{0}});
   EXPECT_FALSE(Bad.isOk());
@@ -326,15 +338,15 @@ TEST(EnvPool, DatasetExpansion) {
 
 TEST(EnvPool, ObservationCacheDeduplicatesAcrossWorkers) {
   EnvPoolOptions Opts = smokePoolOptions(4);
+  CounterDelta D;
   // All four workers repeatedly reset the same benchmark and request the
   // same Autophase observation of the same initial state.
   auto Pool = EnvPool::create(Opts);
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
   for (int Round = 0; Round < 3; ++Round)
     ASSERT_TRUE((*Pool)->resetAll().isOk());
-  PoolStats Stats = (*Pool)->stats();
-  EXPECT_GT(Stats.CacheHits, 0u);
-  EXPECT_GT(Stats.CacheMisses, 0u);
+  EXPECT_GT(cacheEvents(D, "hit"), 0u);
+  EXPECT_GT(cacheEvents(D, "miss"), 0u);
 }
 
 TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
@@ -361,6 +373,7 @@ TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
   Opts.Broker.NumShards = 2; // Two envs share each crashing shard.
   Opts.Broker.MonitorIntervalMs = 5;
   ScopedFaults Faults(recurringCrashPlan(9, 6));
+  CounterDelta D;
   auto Pool = EnvPool::create(Opts);
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
 
@@ -376,12 +389,13 @@ TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
       });
   ASSERT_TRUE(S.isOk()) << S.toString();
 
-  PoolStats Stats = (*Pool)->stats();
-  EXPECT_EQ(Stats.EpisodesCompleted, Episodes); // No episode lost.
+  EXPECT_EQ(D("cg_pool_episodes_total"), Episodes); // No episode lost.
   for (size_t I = 0; I < Episodes; ++I)
     EXPECT_DOUBLE_EQ(Rewards[I], ExpectedReward) << "episode " << I;
   // The fleet really did crash and recover along the way.
-  EXPECT_GE(Stats.EnvRecoveries + Stats.ShardRestarts, 1u);
+  EXPECT_GE(D("cg_env_recoveries_total") +
+                D("cg_broker_shard_restarts_total"),
+            1u);
 }
 
 TEST(EnvPool, ParallelRolloutCollectsFullTrajectories) {

@@ -14,6 +14,7 @@
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -221,8 +222,9 @@ TEST(Service, MalformedBenchmarkFailsCleanly) {
 TEST(Service, HeartbeatWorks) {
   auto Service = std::make_shared<CompilerService>();
   ServiceClient Client(Service);
+  CounterDelta D;
   EXPECT_TRUE(Client.heartbeat().isOk());
-  EXPECT_EQ(Client.rpcCount(), 1u);
+  EXPECT_EQ(D("cg_client_rpcs_total"), 1u);
 }
 
 // -- Fault tolerance -----------------------------------------------------------
@@ -259,12 +261,13 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
 
   // The fault-free control runs first: the fault registry is process-wide,
   // so the control must not share the window in which the plan is armed.
+  CounterDelta RecoveriesB;
   auto EnvB = core::make("llvm-v0", Opts);
   ASSERT_TRUE(EnvB.isOk());
   ASSERT_TRUE((*EnvB)->reset().isOk());
   for (int Step = 0; Step < 10; ++Step)
     ASSERT_TRUE((*EnvB)->step(Step % 5).isOk());
-  EXPECT_EQ((*EnvB)->serviceRecoveries(), 0u);
+  EXPECT_EQ(RecoveriesB("cg_env_recoveries_total"), 0u);
   auto HashB = (*EnvB)->observation()["IrHash"];
   ASSERT_TRUE(HashB.isOk());
 
@@ -274,6 +277,7 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
                         .AfterHits = 7,
                         .MaxFires = 1});
   ScopedFaults Faults(Plan);
+  CounterDelta RecoveriesA;
   auto EnvA = core::make("llvm-v0", Opts);
   ASSERT_TRUE(EnvA.isOk());
   ASSERT_TRUE((*EnvA)->reset().isOk());
@@ -282,7 +286,7 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
     ASSERT_TRUE(RA.isOk()) << "step " << Step << ": "
                            << RA.status().toString();
   }
-  EXPECT_GE((*EnvA)->serviceRecoveries(), 1u);
+  EXPECT_GE(RecoveriesA("cg_env_recoveries_total"), 1u);
   auto HashA = (*EnvA)->observation()["IrHash"];
   ASSERT_TRUE(HashA.isOk());
   EXPECT_EQ(HashA->raw().Str, HashB->raw().Str);
@@ -307,12 +311,13 @@ TEST(FaultTolerance, HangsAreRetriedAsTimeouts) {
                         .MaxFires = 1,
                         .DelayMs = 100});
   ScopedFaults Faults(Plan);
+  CounterDelta D;
   auto Env = core::make("llvm-v0", Opts);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
   auto R = (*Env)->step(0);
   EXPECT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_GE((*Env)->client().retryCount(), 1u);
+  EXPECT_GE(D("cg_client_retries_total"), 1u);
 }
 
 namespace {
@@ -381,6 +386,7 @@ TEST(FaultTolerance, DroppedAndGarbledRepliesAreSurvivable) {
   ScopedFaults Faults(Plan);
   Opts.Client.TimeoutMs = 2000;
   Opts.Client.MaxRetries = 8;
+  CounterDelta D;
   auto Env = core::make("llvm-v0", Opts);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -389,7 +395,7 @@ TEST(FaultTolerance, DroppedAndGarbledRepliesAreSurvivable) {
     ASSERT_TRUE(R.isOk()) << "step " << Step << ": "
                           << R.status().toString();
   }
-  EXPECT_GE((*Env)->client().retryCount(), 1u);
+  EXPECT_GE(D("cg_client_retries_total"), 1u);
 }
 
 TEST(FaultTolerance, RetriedRequestsAreDeduplicatedByTheService) {
@@ -412,12 +418,16 @@ TEST(FaultTolerance, RetriedRequestsAreDeduplicatedByTheService) {
   A.Index = 1;
   Step.Step.Actions = {A};
   std::string Bytes = encodeRequest(Step);
-  uint64_t OpsBefore = Service->opsHandled();
+  CounterDelta D;
   std::string First = Service->handle(Bytes);
+  const uint64_t OneExecution = D("cg_passes_run_total");
+  EXPECT_GE(OneExecution, 1u);
   std::string Second = Service->handle(Bytes); // The "retry".
   EXPECT_EQ(First, Second);
-  // The duplicate performed no compiler work.
-  EXPECT_EQ(Service->opsHandled(), OpsBefore + 1);
+  // The duplicate was replayed from the dedup window and performed no
+  // compiler work.
+  EXPECT_EQ(D("cg_service_dedup_replays_total"), 1u);
+  EXPECT_EQ(D("cg_passes_run_total"), OneExecution);
 }
 
 /// Corrupts the reply of exactly one call into undecodable bytes. The
@@ -455,19 +465,21 @@ TEST(FaultTolerance, GarbledReplyRetryDoesNotDoubleApplyActions) {
       [Service](const std::string &Bytes) { return Service->handle(Bytes); });
   // Call 4 = the second step (1: StartSession, 2: reset obs, 3: step 0).
   auto Corrupt = std::make_shared<CorruptOneReplyTransport>(Base, 4);
+  CounterDelta D;
   auto Env = core::CompilerEnv::attach(*EnvOpts, Service, Corrupt);
   ASSERT_TRUE(Env.isOk());
-  auto RefEnv = core::make("llvm-v0", MO);
-  ASSERT_TRUE(RefEnv.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
-  ASSERT_TRUE((*RefEnv)->reset().isOk());
   for (int Step = 0; Step < 6; ++Step) {
     auto R = (*Env)->step(Step % 7);
     ASSERT_TRUE(R.isOk()) << "step " << Step << ": "
                           << R.status().toString();
-    ASSERT_TRUE((*RefEnv)->step(Step % 7).isOk());
   }
-  EXPECT_GE((*Env)->client().retryCount(), 1u);
+  EXPECT_GE(D("cg_client_retries_total"), 1u);
+  auto RefEnv = core::make("llvm-v0", MO);
+  ASSERT_TRUE(RefEnv.isOk());
+  ASSERT_TRUE((*RefEnv)->reset().isOk());
+  for (int Step = 0; Step < 6; ++Step)
+    ASSERT_TRUE((*RefEnv)->step(Step % 7).isOk());
   auto Hash = (*Env)->observation()["IrHash"];
   auto RefHash = (*RefEnv)->observation()["IrHash"];
   ASSERT_TRUE(Hash.isOk());

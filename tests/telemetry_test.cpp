@@ -429,7 +429,6 @@ TEST(TraceE2E, ClientAndServiceSpansStitchThroughStepRpc) {
 TEST(TraceE2E, PoolStepProducesStitchedTraceAndRegistryMetrics) {
   using runtime::EnvPool;
   using runtime::EnvPoolOptions;
-  using runtime::PoolStats;
   TracerReset Guard;
 
   EnvPoolOptions Opts;
@@ -443,13 +442,15 @@ TEST(TraceE2E, PoolStepProducesStitchedTraceAndRegistryMetrics) {
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
   ASSERT_TRUE((*Pool)->resetAll().isOk());
 
-  // stats() is documented safe concurrently with a running batch; hammer
-  // it from another thread while the batch runs (the TSan job turns any
-  // unsynchronized recovery-counter read into a failure).
+  // Counts are read from the registry, which is safe concurrently with a
+  // running batch; hammer snapshot() from another thread while the batch
+  // runs (the TSan job turns any unsynchronized counter read into a
+  // failure).
   std::atomic<bool> Stop{false};
   std::thread Reader([&] {
     while (!Stop.load(std::memory_order_relaxed)) {
-      PoolStats S = (*Pool)->stats();
+      telemetry::MetricsSnapshot S =
+          telemetry::MetricsRegistry::global().snapshot();
       (void)S;
     }
   });

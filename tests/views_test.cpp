@@ -10,6 +10,7 @@
 
 #include "core/Registry.h"
 #include "runtime/EnvPool.h"
+#include "tests/CounterDelta.h"
 
 #include <gtest/gtest.h>
 
@@ -91,37 +92,37 @@ TEST(Views, RepeatQueriesAreCacheHitsUntilNextAction) {
   auto Env = makeLlvm();
   ASSERT_TRUE(Env->reset().isOk());
 
-  uint64_t Before = Env->client().rpcCount();
+  CounterDelta Rpcs;
   auto First = Env->observation()["InstCount"];
   ASSERT_TRUE(First.isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
 
   // Same state: served from the view cache, no RPC.
   uint64_t Hits = Env->observation().cacheHits();
   auto Second = Env->observation()["InstCount"];
   ASSERT_TRUE(Second.isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
   EXPECT_EQ(Env->observation().cacheHits(), Hits + 1);
 
   // An action advances the state epoch: the next query re-fetches.
   ASSERT_TRUE(Env->step(0).isOk());
-  uint64_t AfterStep = Env->client().rpcCount();
+  Rpcs.reset();
   ASSERT_TRUE(Env->observation()["InstCount"].isOk());
-  EXPECT_EQ(Env->client().rpcCount(), AfterStep + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
 }
 
 TEST(Views, PrefetchBatchesSpacesIntoOneRpc) {
   auto Env = makeLlvm();
   ASSERT_TRUE(Env->reset().isOk());
-  uint64_t Before = Env->client().rpcCount();
+  CounterDelta Rpcs;
   ASSERT_TRUE(
       Env->observation().prefetch({"Ir", "InstCount", "Autophase"}).isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
   // All three now come from the cache.
   ASSERT_TRUE(Env->observation()["Ir"].isOk());
   ASSERT_TRUE(Env->observation()["InstCount"].isOk());
   ASSERT_TRUE(Env->observation()["Autophase"].isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
 }
 
 TEST(Views, CacheSurvivesFork) {
@@ -133,12 +134,11 @@ TEST(Views, CacheSurvivesFork) {
 
   auto Fork = Env->fork();
   ASSERT_TRUE(Fork.isOk()) << Fork.status().toString();
-  // The clone shares the parent's client, so RPC accounting is global:
-  // the clone's first query of a cached space must add zero RPCs.
-  uint64_t Before = Env->client().rpcCount();
+  // The clone's first query of a cached space must add zero RPCs.
+  CounterDelta Rpcs;
   auto ForkHash = (*Fork)->observation()["IrHash"];
   ASSERT_TRUE(ForkHash.isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 0u);
   EXPECT_EQ(ForkHash->raw().Str, Hash->raw().Str);
 
   // Stepping the clone invalidates only the clone's cache.
@@ -209,10 +209,10 @@ TEST(Views, DerivedSpaceRidesTheStepRpc) {
 
   // The derived space's declared dependencies travel in the step RPC; the
   // client-side computation then runs entirely against the primed cache.
-  uint64_t Before = Env->client().rpcCount();
+  CounterDelta Rpcs;
   auto R = Env->step({0}, {"AutophaseShare"});
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(Rpcs("cg_client_rpcs_total"), 1u);
   ASSERT_EQ(R->Observations.size(), 1u);
   EXPECT_EQ(R->Observations[0].first, "AutophaseShare");
   EXPECT_TRUE(R->Observations[0].second.asDoubleList().isOk());
